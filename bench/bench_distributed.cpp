@@ -14,9 +14,12 @@
 //                     volume (TotalV / MaxV), imbalance, and critical-path
 //                     wait fractions must stay flat as P grows.
 //
-// --transport {inproc,pipe} selects the message fabric (see
-// runtime/transport.hpp); every modeled column is transport-invariant.
+// Usage: bench_distributed [--weak] [--threads N] [--scope-stream FILE]
+//                          [--leak-check N]
+// Unknown arguments and malformed counts exit with status 2.
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,44 +48,67 @@ struct Sweep {
 
 struct Cli {
   int threads = 1;
-  plum::rt::TransportKind transport = plum::rt::TransportKind::kInProc;
-  int transport_procs = 0;
   bool weak = false;
   int leak_check = 0;  ///< > 0: steady-state leak gate over N extra cycles
   std::string scope_stream;  ///< plum-scope/1 NDJSON file ("" = off)
 };
 
+constexpr const char* kUsage =
+    "usage: bench_distributed [--weak] [--threads N] [--scope-stream FILE] "
+    "[--leak-check N]\n";
+
+/// Parses a non-negative decimal count; rejects empty, signed, trailing
+/// garbage and out-of-range text (atoi would turn "abc" into 0 = all cores).
+bool parse_count(const char* text, int* out) {
+  if (text[0] < '0' || text[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v > INT_MAX) return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+/// Returns the value of `--name VALUE` / `--name=VALUE` at argv[*i]
+/// (advancing *i past a separate VALUE), or nullptr when argv[*i] is not
+/// that flag. *missing is set when the flag has no value.
+const char* flag_value(const char* name, int argc, char** argv, int* i,
+                       bool* missing) {
+  const char* a = argv[*i];
+  const std::size_t n = std::strlen(name);
+  if (std::strncmp(a, name, n) != 0) return nullptr;
+  if (a[n] == '=') return a + n + 1;
+  if (a[n] != '\0') return nullptr;
+  if (*i + 1 >= argc) {
+    *missing = true;
+    return nullptr;
+  }
+  return argv[++*i];
+}
+
 bool parse_cli(int argc, char** argv, Cli* cli) {
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--threads") == 0 && i + 1 < argc) {
-      cli->threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      cli->threads = std::atoi(a + 10);
-    } else if (std::strcmp(a, "--transport") == 0 && i + 1 < argc) {
-      if (!plum::rt::parse_transport_kind(argv[++i], &cli->transport)) {
-        std::fprintf(stderr, "unknown --transport %s\n", argv[i]);
-        return false;
-      }
-    } else if (std::strncmp(a, "--transport=", 12) == 0) {
-      if (!plum::rt::parse_transport_kind(a + 12, &cli->transport)) {
-        std::fprintf(stderr, "unknown --transport %s\n", a + 12);
-        return false;
-      }
-    } else if (std::strcmp(a, "--transport-procs") == 0 && i + 1 < argc) {
-      cli->transport_procs = std::atoi(argv[++i]);
-    } else if (std::strncmp(a, "--transport-procs=", 18) == 0) {
-      cli->transport_procs = std::atoi(a + 18);
-    } else if (std::strcmp(a, "--scope-stream") == 0 && i + 1 < argc) {
-      cli->scope_stream = argv[++i];
-    } else if (std::strncmp(a, "--scope-stream=", 15) == 0) {
-      cli->scope_stream = a + 15;
-    } else if (std::strcmp(a, "--leak-check") == 0 && i + 1 < argc) {
-      cli->leak_check = std::atoi(argv[++i]);
-    } else if (std::strncmp(a, "--leak-check=", 13) == 0) {
-      cli->leak_check = std::atoi(a + 13);
-    } else if (std::strcmp(a, "--weak") == 0) {
+    bool missing = false;
+    const char* v = nullptr;
+    if (std::strcmp(argv[i], "--weak") == 0) {
       cli->weak = true;
+    } else if ((v = flag_value("--threads", argc, argv, &i, &missing))) {
+      if (!parse_count(v, &cli->threads)) {
+        std::fprintf(stderr, "bad --threads value '%s'\n", v);
+        return false;
+      }
+    } else if ((v = flag_value("--leak-check", argc, argv, &i, &missing))) {
+      if (!parse_count(v, &cli->leak_check)) {
+        std::fprintf(stderr, "bad --leak-check value '%s'\n", v);
+        return false;
+      }
+    } else if ((v = flag_value("--scope-stream", argc, argv, &i, &missing))) {
+      cli->scope_stream = v;
+    } else {
+      std::fprintf(stderr, missing ? "missing value for %s\n"
+                                   : "unknown argument '%s'\n",
+                   argv[i]);
+      return false;
     }
   }
   return true;
@@ -94,7 +120,10 @@ int main(int argc, char** argv) {
   using namespace plum;
 
   Cli cli;
-  if (!parse_cli(argc, argv, &cli)) return 2;
+  if (!parse_cli(argc, argv, &cli)) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
 
   const char* small_env = std::getenv("PLUM_BENCH_SMALL");
   const bool small = small_env && small_env[0] == '1';
@@ -112,8 +141,6 @@ int main(int argc, char** argv) {
     opt.imbalance_trigger = 1.05;
     opt.solver_steps_per_cycle = 4;
     opt.threads = cli.threads;
-    opt.transport = cli.transport;
-    opt.transport_procs = cli.transport_procs;
     opt.scope_name = "bench_distributed_leak";
     auto mesh = mesh::make_box_mesh(mesh::small_box(small ? 6 : 8));
     core::DistFramework fw(std::move(mesh), opt);
@@ -207,8 +234,6 @@ int main(int argc, char** argv) {
     opt.imbalance_trigger = 1.05;
     opt.solver_steps_per_cycle = 6;
     opt.threads = cli.threads;
-    opt.transport = cli.transport;
-    opt.transport_procs = cli.transport_procs;
     // Live monitoring + crash forensics: every sweep size appends its
     // cycle records to the same stream (tools/plum-top tails it), and the
     // postmortem file carries the bench name.
@@ -298,8 +323,8 @@ int main(int argc, char** argv) {
         // cells is the number of (sender, receiver) pairs that actually
         // communicated — O(P * degree), not P^2 — and resident_bytes is
         // what the accounting keeps in memory. Both are deterministic and
-        // transport-invariant, so the weak baseline gates that the
-        // accounting itself scales.
+        // engine-invariant, so the weak baseline gates that the accounting
+        // itself scales.
         .metric_int("comm_resident_cells",
                     fw.engine().ledger().comm_matrix().resident_cells())
         .metric_int("comm_resident_bytes",
@@ -377,9 +402,7 @@ int main(int argc, char** argv) {
             << (cli.weak ? "weak scaling: fixed work per rank"
                          : "strong scaling: fixed mesh")
             << ", remap before subdivision, greedy mapper), engine threads = "
-            << cli.threads
-            << ", transport = " << rt::transport_kind_name(cli.transport)
-            << "\n";
+            << cli.threads << "\n";
   table.print(std::cout);
   if (cli.weak) {
     std::cout << "\nViability check (paper Figs. 7/8): with fixed work per "

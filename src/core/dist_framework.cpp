@@ -69,18 +69,17 @@ DistFramework::DistFramework(mesh::TetMesh initial_global,
     opt_.calibration.enabled = true;
   }
   calib_ = sim::Calibration(opt_.machine, opt_.calibration);
-  eng_ = rt::make_engine(opt_.nranks, opt_.threads, opt_.transport,
-                         opt_.transport_procs);
+  eng_ = rt::make_engine(opt_.nranks, opt_.threads);
   eng_->set_observer(&trace_);
   // plum-scope: the engine feeds the flight recorder one event per rank per
   // superstep; the trace keeps its phase stamp in sync; a failed assert
-  // (including the pipe transport's rank-death path) dumps the ring.
+  // dumps the ring.
   eng_->set_scope_sink(&scope_);
   trace_.set_flight_recorder(&scope_);
   // plum-mem: the trace's phase scopes stamp the tracker; the heap section
   // joins trace().to_json().
   trace_.set_memory_tracker(&mem_);
-  obs::install_postmortem({opt_.scope_name, &scope_, &eng_->transport()});
+  obs::install_postmortem({opt_.scope_name, &scope_});
   if (!opt_.scope_stream.empty()) {
     stream_ = std::make_unique<obs::ScopeStreamWriter>(opt_.scope_stream);
   }
@@ -535,38 +534,7 @@ DistCycleReport DistFramework::cycle() {
   obs::record_step_histograms(metrics_, trace_, &hist_step_cursor_);
   obs::record_phase_histograms(metrics_, trace_, &hist_phase_cursor_);
 
-  // --- plum-scope: depot telemetry gauges + one live stream record ----------
-  // Depot stats exist only under the pipe transport (empty otherwise). They
-  // are wall-clock sourced (syscall counts, stall ns), so they fold into
-  // wall-marked series and the trace's full view — never the deterministic
-  // views the cross-engine byte-identity tests compare.
-  const auto depot = eng_->transport().depot_stats();
-  if (!depot.empty()) {
-    trace_.set_depot_telemetry(obs::depot_stats_json(depot));
-    rt::DepotStats sum;
-    for (const auto& d : depot) {
-      sum.buffered_bytes += d.buffered_bytes;
-      sum.frames_in += d.frames_in;
-      sum.frames_out += d.frames_out;
-      sum.read_calls += d.read_calls;
-      sum.write_calls += d.write_calls;
-      sum.peak_buffer_bytes =
-          std::max(sum.peak_buffer_bytes, d.peak_buffer_bytes);
-      sum.stall_ns += d.stall_ns;
-      sum.vm_rss_bytes = std::max(sum.vm_rss_bytes, d.vm_rss_bytes);
-      sum.vm_hwm_bytes = std::max(sum.vm_hwm_bytes, d.vm_hwm_bytes);
-    }
-    metrics_.add_wall_sample_int("depot_frames_in", sum.frames_in);
-    metrics_.add_wall_sample_int("depot_frames_out", sum.frames_out);
-    metrics_.add_wall_sample_int("depot_read_calls", sum.read_calls);
-    metrics_.add_wall_sample_int("depot_write_calls", sum.write_calls);
-    metrics_.add_wall_sample_int("depot_peak_buffer_bytes",
-                                 sum.peak_buffer_bytes);
-    metrics_.add_wall_sample_int("depot_stall_ns", sum.stall_ns);
-    // Worst depot child's resident set — wall-class, like all depot gauges.
-    metrics_.add_wall_sample_int("depot_vm_rss_bytes", sum.vm_rss_bytes);
-    metrics_.add_wall_sample_int("depot_vm_hwm_bytes", sum.vm_hwm_bytes);
-  }
+  // --- plum-scope: coordinator RSS gauges + one live stream record ---------
   // Coordinator resident set (plum-mem wall gauges; the deterministic heap
   // counters live in the trace's plum-heap/1 section instead).
   {
@@ -618,7 +586,6 @@ DistCycleReport DistFramework::cycle() {
     rec_json.set("ranks", std::move(ranks_json));
     // Coordinator RSS for plum-top's live memory column (wall-class).
     rec_json.set("rss", obs::rss_json());
-    if (!depot.empty()) rec_json.set("depot", obs::depot_stats_json(depot));
     stream_->append(rec_json);
   }
   scope_step_cursor_ = trace_.supersteps().size();

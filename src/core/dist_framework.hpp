@@ -87,9 +87,9 @@ class DistFramework {
 
   /// plum-scope flight recorder: a fixed-capacity per-rank event ring the
   /// engine feeds as a rt::RankScopeSink (one event per rank per
-  /// superstep, overwrite-oldest). Always on; a failed PLUM_ASSERT —
-  /// including the pipe transport's rank-death path — flushes its last-N
-  /// events per rank to POSTMORTEM_<scope_name>.json before aborting.
+  /// superstep, overwrite-oldest). Always on; a failed PLUM_ASSERT flushes
+  /// its last-N events per rank to POSTMORTEM_<scope_name>.json before
+  /// aborting.
   [[nodiscard]] obs::FlightRecorder& scope() { return scope_; }
   [[nodiscard]] const obs::FlightRecorder& scope() const { return scope_; }
 
@@ -97,8 +97,7 @@ class DistFramework {
   /// per-row scratch arenas the hot phases allocate through (HEM match and
   /// KL-FM refine on the host row; mark/migrate/refine staging on the rank
   /// rows, written by the claiming worker). The plum-heap/1 section of
-  /// trace().to_json() is byte-identical across engines, thread counts,
-  /// and transports.
+  /// trace().to_json() is byte-identical across engines and thread counts.
   [[nodiscard]] obs::MemoryTracker& memory() { return mem_; }
   [[nodiscard]] const obs::MemoryTracker& memory() const { return mem_; }
 

@@ -22,7 +22,7 @@
 #include "partition/multilevel.hpp"
 #include "remap/mapping.hpp"
 #include "remap/volume.hpp"
-#include "runtime/transport.hpp"
+#include "runtime/engine.hpp"
 #include "sim/calibration.hpp"
 #include "sim/machine.hpp"
 #include "solver/euler.hpp"
@@ -53,12 +53,10 @@ struct FrameworkOptions {
   /// a ParallelEngine with N workers. Results are bit-identical across all
   /// settings (see runtime/engine.hpp's determinism contract).
   int threads = 1;
-  /// Message fabric for the BSP engine (DistFramework only): kInProc moves
-  /// messages in-memory; kPipe routes every payload through child rank-group
-  /// processes over socketpairs. Bit-identical results either way (see
-  /// runtime/transport.hpp's delivery contract).
+  /// Compatibility shim read only by perfbench/plum_bench.cpp (see
+  /// rt::make_engine's 4-argument overload); nothing else reads these, and
+  /// they go with the next change to the benchmark.
   rt::TransportKind transport = rt::TransportKind::kInProc;
-  /// Child processes for the pipe transport (0 = transport default).
   int transport_procs = 0;
   /// Online cost-model calibration (sim/calibration.hpp). Disabled by
   /// default: a live calibration consumes wall-clock phase timings, which
@@ -68,7 +66,7 @@ struct FrameworkOptions {
   /// loop to deterministic replay: calibration reads the book's seconds
   /// instead of the wall clock (and implies calibration.enabled), so every
   /// calibrated constant — and everything it prices — is byte-identical
-  /// across engines, thread counts, and transports.
+  /// across engines and thread counts.
   std::string replay_path;
   /// Run name stamped on plum-scope/1 stream records and used for the
   /// crash postmortem file (POSTMORTEM_<scope_name>.json).
@@ -78,7 +76,7 @@ struct FrameworkOptions {
   /// overwritten, so this bounds both memory and postmortem size.
   int scope_ring_capacity = 256;
   /// Non-empty: append one plum-scope/1 NDJSON record per cycle to this
-  /// file (per-rank busy/wait, gate verdict, imbalance, depot gauges).
+  /// file (per-rank busy/wait, gate verdict, imbalance, coordinator RSS).
   /// tools/plum-top tails it for a live view. DistFramework only.
   std::string scope_stream;
   /// Chunk size of the per-row plum-mem scratch arenas (obs::MemoryTracker).
@@ -158,7 +156,7 @@ class Framework {
   /// scratch arenas the hot phases (HEM match, KL-FM refine, remap staging,
   /// subdivision snapshots) allocate from. Its plum-heap/1 profile joins
   /// trace().to_json(); the deterministic view is byte-identical across
-  /// engines, thread counts, and transports.
+  /// engines and thread counts.
   [[nodiscard]] obs::MemoryTracker& memory() { return mem_; }
   [[nodiscard]] const obs::MemoryTracker& memory() const { return mem_; }
 

@@ -11,12 +11,10 @@
 //                        rank-indexed-slot rule as rt::StepCounters and
 //                        the plum-scope flight recorder — so the counts
 //                        are deterministic and byte-identical across
-//                        Engine/ParallelEngine, thread counts, and
-//                        transports (rank lambdas always run in the
-//                        coordinator process). The phase stamp is
-//                        host-set/worker-read, fed by TraceRecorder's
-//                        begin_phase/end_phase exactly like the flight
-//                        recorder's.
+//                        Engine/ParallelEngine and thread counts. The
+//                        phase stamp is host-set/worker-read, fed by
+//                        TraceRecorder's begin_phase/end_phase exactly
+//                        like the flight recorder's.
 //   Arena              — a chunked bump allocator for per-cycle scratch.
 //                        reset() rewinds every chunk for reuse (frees only
 //                        oversized dedicated blocks), so steady-state
@@ -30,8 +28,8 @@
 //
 // What the deterministic counters exclude, by design: the arena's own
 // chunk allocations (operator new traffic that depends on reuse history),
-// and every RSS gauge (util::read_rss, DepotStats heap fields) — those are
-// wall-class observables and only appear in full JSON views.
+// and every RSS gauge (util::read_rss) — those are wall-class observables
+// and only appear in full JSON views.
 //
 // This header is deliberately link-light: everything the hot subsystems
 // (partition, adapt, pmesh) touch is defined inline, so they can allocate

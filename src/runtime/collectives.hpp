@@ -58,7 +58,7 @@ std::vector<std::vector<T>> gather(Engine& eng,
                                    const std::vector<std::vector<T>>& input,
                                    Rank root = 0) {
   const Rank p = eng.nranks();
-  // plum-scale: dist(P) -- all-to-all staging matrix owned by the in-process transport
+  // plum-scale: dist(P) -- all-to-all staging matrix; all P ranks live in this process
   std::vector<std::vector<std::vector<T>>> a2a(
       static_cast<std::size_t>(p),
       std::vector<std::vector<T>>(static_cast<std::size_t>(p)));
@@ -77,7 +77,7 @@ std::vector<std::vector<T>> scatter(Engine& eng,
                                     const std::vector<std::vector<T>>& input,
                                     Rank root = 0) {
   const Rank p = eng.nranks();
-  // plum-scale: dist(P) -- all-to-all staging matrix owned by the in-process transport
+  // plum-scale: dist(P) -- all-to-all staging matrix; all P ranks live in this process
   std::vector<std::vector<std::vector<T>>> a2a(
       static_cast<std::size_t>(p),
       std::vector<std::vector<T>>(static_cast<std::size_t>(p)));
@@ -97,7 +97,7 @@ template <typename T>
 std::vector<std::vector<T>> allgather(
     Engine& eng, const std::vector<std::vector<T>>& input) {
   const Rank p = eng.nranks();
-  // plum-scale: dist(P) -- all-to-all staging matrix owned by the in-process transport
+  // plum-scale: dist(P) -- all-to-all staging matrix; all P ranks live in this process
   std::vector<std::vector<std::vector<T>>> a2a(
       static_cast<std::size_t>(p));
   for (Rank r = 0; r < p; ++r) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "util/timer.hpp"
-
 namespace plum::rt {
 
 namespace {
@@ -204,15 +202,32 @@ bool Engine::superstep(const StepFn& fn) {
       any_continue |= fn(r, inbox, outbox);
     }
   }
-  // Superstep barrier: the transport merges the per-sender queues into the
-  // next step's inboxes in (sender rank, program order) order.
-  transport_->exchange(out_queues, pending_);
+  barrier(step, out_queues, std::move(counters), rank_seconds, wall);
+  return any_continue;
+}
+
+void Engine::barrier(int step, std::vector<SendQueue>& queues,
+                     std::vector<StepCounters> counters,
+                     const std::vector<double>& rank_seconds,
+                     const Timer& wall) {
+  std::size_t cells = 0;
+  for (const auto& q : queues) cells += q.num_buckets();
+  peak_cells_ = std::max(peak_cells_, cells);
+  // Sender-rank-major merge: the order the sequential engine produces
+  // (ranks run 0..P-1, sends append in program order).
+  for (auto& q : queues) {
+    for (auto& b : q.buckets()) {
+      auto& dst = pending_[static_cast<std::size_t>(b.to)];
+      dst.insert(dst.end(), std::make_move_iterator(b.msgs.begin()),
+                 std::make_move_iterator(b.msgs.end()));
+    }
+    q.clear();
+  }
   check_send_receive_conservation(counters, pending_);
   if (observer_) {
     observer_->on_superstep(step, counters, rank_seconds, wall.seconds());
   }
   ledger_.steps.push_back(std::move(counters));
-  return any_continue;
 }
 
 void Engine::run(const StepFn& fn, int max_steps) {
@@ -223,9 +238,8 @@ void Engine::run(const StepFn& fn, int max_steps) {
   PLUM_ASSERT_MSG(false, "BSP program did not terminate within max_steps");
 }
 
-ParallelEngine::ParallelEngine(Rank nranks, int num_threads,
-                               std::unique_ptr<Transport> transport)
-    : Engine(nranks, std::move(transport)) {
+ParallelEngine::ParallelEngine(Rank nranks, int num_threads)
+    : Engine(nranks) {
   int n = num_threads;
   if (n <= 0) {
     n = static_cast<int>(std::thread::hardware_concurrency());
@@ -257,10 +271,14 @@ void ParallelEngine::worker_loop() {
       if (stop_) return;
       seen = epoch_;
     }
-    // Claim ranks off the shared cursor until the superstep is drained.
+    // Claim ranks off the shared cursor until the superstep is drained. A
+    // worker that woke late for an epoch whose ranks others already drained
+    // can claim a rank of the *next* superstep here, outside mu_; the
+    // acquire pairs with the release reset in superstep() so it still sees
+    // that superstep's fn_/delivering_/... pointers.
     Rank claimed = 0;
     for (;;) {
-      const Rank r = next_rank_.fetch_add(1, std::memory_order_relaxed);
+      const Rank r = next_rank_.fetch_add(1, std::memory_order_acquire);
       if (r >= nranks_) break;
       const auto ur = static_cast<std::size_t>(r);
       Inbox inbox(std::move((*delivering_)[ur]));
@@ -313,7 +331,7 @@ bool ParallelEngine::superstep(const StepFn& fn) {
     rank_seconds_ = observer_ ? &rank_seconds : nullptr;
     step_index_ = step;
     ranks_done_ = 0;
-    next_rank_.store(0, std::memory_order_relaxed);
+    next_rank_.store(0, std::memory_order_release);
     ++epoch_;
   }
   cv_work_.notify_all();
@@ -322,36 +340,27 @@ bool ParallelEngine::superstep(const StepFn& fn) {
     cv_done_.wait(lk, [&] { return ranks_done_ == nranks_; });
   }
 
-  // Superstep barrier: the transport merges the private per-sender queues
-  // into the next step's inboxes in sender-rank order. The sequential
-  // engine delivers in exactly this order (ranks run 0..P-1, sends append
-  // in program order), so inbox contents are identical between the engines
-  // — and, by the transport contract, between transports.
-  transport_->exchange(out_queues, pending_);
-  check_send_receive_conservation(counters, pending_);
-  if (observer_) {
-    observer_->on_superstep(step, counters, rank_seconds, wall.seconds());
-  }
-  ledger_.steps.push_back(std::move(counters));
+  // The sequential engine delivers in exactly the sender-rank order the
+  // barrier merges the private per-sender queues in, so inbox contents are
+  // identical between the engines.
+  barrier(step, out_queues, std::move(counters), rank_seconds, wall);
   bool any_continue = false;
   for (char c : want_more) any_continue |= (c != 0);
   return any_continue;
 }
 
+std::unique_ptr<Engine> make_engine(Rank nranks, int threads) {
+  if (threads == 1) return std::make_unique<Engine>(nranks);
+  return std::make_unique<ParallelEngine>(nranks, threads);
+}
+
 std::unique_ptr<Engine> make_engine(Rank nranks, int threads,
                                     TransportKind transport,
                                     int transport_procs) {
-  // Construct the transport first: the pipe transport forks its rank-group
-  // children, which must happen before this engine's worker threads exist.
-  PipeTransportOptions popt;
-  popt.nprocs = transport_procs;
-  auto fabric = make_transport(transport, nranks, popt);
-  if (threads == 1) return std::make_unique<Engine>(nranks, std::move(fabric));
-  return std::make_unique<ParallelEngine>(nranks, threads, std::move(fabric));
-}
-
-std::unique_ptr<Engine> make_engine(Rank nranks, int threads) {
-  return make_engine(nranks, threads, TransportKind::kInProc);
+  (void)transport;  // kInProc is the only kind
+  PLUM_ASSERT_MSG(transport_procs == 0,
+                  "engine ranks run in-process; transport_procs must be 0");
+  return make_engine(nranks, threads);
 }
 
 }  // namespace plum::rt

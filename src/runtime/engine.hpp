@@ -10,14 +10,11 @@
 //   ParallelEngine  — ranks of one superstep execute concurrently on a
 //                     persistent std::thread pool.
 //
-// Message *delivery* is delegated to a pluggable rt::Transport
-// (runtime/transport.hpp): the engines fill per-sender sparse outbox
-// queues and hand them to the transport at the barrier. InProcTransport
-// (the default) moves the queued messages within the address space;
-// PipeTransport routes every payload through child OS processes over
-// length-prefixed socketpair frames. Both must deliver the identical
-// (sender rank, program order) stream, so engine x transport choice never
-// changes ledgers, traces, or results.
+// Delivery is the engines' own barrier step: each sender fills a private
+// sparse outbox queue during the superstep, and at the barrier the queues
+// are merged into the next superstep's inboxes in sender-rank order. All
+// P simulated ranks live in this address space, so delivery is a move of
+// the queued Message objects.
 //
 // Determinism contract (both engines): a rank's inbox for superstep s+1
 // holds the messages posted during superstep s, ordered by sender rank and,
@@ -49,8 +46,8 @@
 #include <vector>
 
 #include "runtime/message.hpp"
-#include "runtime/transport.hpp"
 #include "util/assert.hpp"
+#include "util/timer.hpp"
 #include "util/types.hpp"
 
 namespace plum::rt {
@@ -72,6 +69,42 @@ class Inbox {
 
  private:
   std::vector<Message> msgs_;
+};
+
+/// One sender's messages for one destination, in program (send) order.
+struct SendBucket {
+  Rank to = kNoRank;
+  std::vector<Message> msgs;
+};
+
+/// One sender's per-superstep outbox: sparse destination buckets in
+/// first-send order. This is the O(neighbors) replacement for a dense
+/// per-sender vector<vector<Message>> row, which would be O(P) per rank and
+/// O(P^2) per superstep — exactly the replicated state the extreme-scale
+/// AMR literature (Schornbaum & Rüde) forbids.
+class SendQueue {
+ public:
+  void push(Rank to, Message m) {
+    for (auto& b : buckets_) {
+      if (b.to == to) {
+        b.msgs.push_back(std::move(m));
+        return;
+      }
+    }
+    buckets_.push_back(SendBucket{to, {}});
+    buckets_.back().msgs.push_back(std::move(m));
+  }
+
+  [[nodiscard]] const std::vector<SendBucket>& buckets() const {
+    return buckets_;
+  }
+  [[nodiscard]] std::vector<SendBucket>& buckets() { return buckets_; }
+  [[nodiscard]] std::size_t num_buckets() const { return buckets_.size(); }
+  [[nodiscard]] bool empty() const { return buckets_.empty(); }
+  void clear() { buckets_.clear(); }
+
+ private:
+  std::vector<SendBucket> buckets_;
 };
 
 /// One (receiver, tag) cell of a sender's per-superstep communication row.
@@ -239,8 +272,7 @@ struct CommMatrix {
   /// Resident (from, to) cells — the replicated-state audit hook: a
   /// degree-bounded program must keep this O(P·degree), never O(P²).
   [[nodiscard]] std::int64_t resident_cells() const;
-  /// Resident accounting bytes (cells plus per-row headers), the
-  /// Transport::peak_resident_bytes()-style memory gauge.
+  /// Resident accounting bytes (cells plus per-row headers).
   [[nodiscard]] std::int64_t resident_bytes() const;
 
   friend bool operator==(const CommMatrix&, const CommMatrix&) = default;
@@ -269,11 +301,7 @@ class Engine {
  public:
   using StepFn = std::function<bool(Rank, const Inbox&, Outbox&)>;
 
-  /// `transport` == nullptr picks the in-process reference transport.
-  explicit Engine(Rank nranks, std::unique_ptr<Transport> transport = nullptr)
-      : nranks_(nranks),
-        transport_(transport ? std::move(transport)
-                             : std::make_unique<InProcTransport>()) {
+  explicit Engine(Rank nranks) : nranks_(nranks) {
     PLUM_ASSERT(nranks >= 1);
     // plum-scale: dist(P) -- one mailbox head per simulated rank; the engine hosts all P ranks
     pending_.resize(static_cast<std::size_t>(nranks));
@@ -283,10 +311,6 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   [[nodiscard]] Rank nranks() const { return nranks_; }
-
-  /// The delivery fabric (audit hooks, kind introspection).
-  [[nodiscard]] Transport& transport() { return *transport_; }
-  [[nodiscard]] const Transport& transport() const { return *transport_; }
 
   /// One superstep: fn(rank, inbox, outbox) -> bool "I want another step".
   /// Returns true while any rank asked to continue (the usual loop driver).
@@ -313,14 +337,32 @@ class Engine {
   void set_scope_sink(RankScopeSink* sink) { scope_sink_ = sink; }
   [[nodiscard]] RankScopeSink* scope_sink() const { return scope_sink_; }
 
+  /// High-water mark of total outbox buckets across all senders in one
+  /// superstep — the per-superstep resident cell count. For a program whose
+  /// ranks each talk to d neighbors this is <= P*d, and the O(neighbors)
+  /// audit in test_runtime asserts it stays far below P^2.
+  [[nodiscard]] std::size_t peak_queue_cells() const { return peak_cells_; }
+
  protected:
+  /// The superstep barrier both engines share, run on the coordinating
+  /// thread once every rank of `step` has returned: delivers `queues` into
+  /// the next superstep's inboxes in (sender rank, program order), checks
+  /// send/receive conservation, calls the observer (whose wall time `wall`
+  /// has measured since the superstep began), and appends `counters` to
+  /// the ledger.
+  void barrier(int step, std::vector<SendQueue>& queues,
+               std::vector<StepCounters> counters,
+               const std::vector<double>& rank_seconds, const Timer& wall);
+
   Rank nranks_;
-  std::unique_ptr<Transport> transport_;
   std::vector<std::vector<Message>> pending_;  // queued for next superstep
   Ledger ledger_;
   int run_step_ = 0;  // Outbox::step() of the next superstep
   SuperstepObserver* observer_ = nullptr;
   RankScopeSink* scope_sink_ = nullptr;
+
+ private:
+  std::size_t peak_cells_ = 0;
 };
 
 /// Runs the ranks of each superstep concurrently on a persistent thread
@@ -330,8 +372,7 @@ class ParallelEngine final : public Engine {
  public:
   /// `num_threads` == 0 picks hardware_concurrency; the pool is never
   /// larger than nranks (extra workers could only idle).
-  explicit ParallelEngine(Rank nranks, int num_threads = 0,
-                          std::unique_ptr<Transport> transport = nullptr);
+  explicit ParallelEngine(Rank nranks, int num_threads = 0);
   ~ParallelEngine() override;
 
   bool superstep(const StepFn& fn) override;
@@ -371,13 +412,17 @@ class ParallelEngine final : public Engine {
 
 /// Engine factory used by options-driven callers: `threads == 1` returns
 /// the sequential reference engine, anything else a ParallelEngine
-/// (0 = one worker per hardware core). `transport` selects the delivery
-/// fabric; `transport_procs` is the pipe transport's child-process count
-/// (0 = default). The transport is constructed *before* the engine so the
-/// pipe children are forked before the worker pool threads start.
+/// (0 = one worker per hardware core).
+std::unique_ptr<Engine> make_engine(Rank nranks, int threads);
+
+/// Compatibility shim: perfbench/plum_bench.cpp still spells the engine
+/// factory with a message-fabric selector. In-process delivery is the only
+/// one; a nonzero process count is rejected. This enum, this overload and
+/// FrameworkOptions::{transport, transport_procs} exist only for perfbench
+/// and go with the next change to the benchmark.
+enum class TransportKind { kInProc };
 std::unique_ptr<Engine> make_engine(Rank nranks, int threads,
                                     TransportKind transport,
-                                    int transport_procs = 0);
-std::unique_ptr<Engine> make_engine(Rank nranks, int threads);
+                                    int transport_procs);
 
 }  // namespace plum::rt

@@ -1,8 +1,7 @@
 #pragma once
 // Resident-set-size sampling from /proc/self/status. Lives in util (not
-// obs) because both the observability layer (host RSS gauges in the trace)
-// and the runtime's pipe depot children (DepotStats heap fields) need it,
-// and plum_runtime must not depend on plum_obs.
+// obs) so code below the observability layer can sample RSS without
+// linking plum_obs.
 //
 // RSS numbers are wall-class observables: they depend on the allocator,
 // the kernel, and whatever else the process did. Everything here is

@@ -1,10 +1,10 @@
 // plum-lint fixture (lint-only, never compiled): bare POSIX fd calls
-// inside a superstep lambda. All process-boundary IO belongs to the
-// Transport at the barrier (runtime/frame.hpp's write_all / read_some);
-// a rank program that reads or writes a file descriptor moves bytes
-// outside the ledger, the conservation check, and the delivery-order
-// contract. Member calls (`outbox.send`) and host-side fd use outside the
-// lambda must NOT be flagged.
+// inside a superstep lambda. Rank programs exchange data only through
+// Outbox::send, which the engine delivers at the barrier; a rank program
+// that reads or writes a file descriptor moves bytes outside the ledger,
+// the conservation check, and the delivery-order contract. Member calls
+// (`outbox.send`) and host-side fd use outside the lambda must NOT be
+// flagged.
 // Expected: 3x raw-fd-in-superstep.
 #include <unistd.h>
 

@@ -298,7 +298,7 @@ core::DistFramework make_dist(core::FrameworkOptions opt, int boxn) {
 }
 
 /// Options that reliably produce accepted remaps in consecutive cycles
-/// (mirrors test_dist_framework's transport determinism setup).
+/// (the 1.02 trigger makes the remap path fire).
 core::FrameworkOptions remap_heavy_options() {
   core::FrameworkOptions opt;
   opt.nranks = 8;

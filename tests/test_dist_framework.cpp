@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -12,15 +11,11 @@
 #include <sstream>
 #include <vector>
 
-#include <sys/wait.h>
-
 #include "core/dist_framework.hpp"
 #include "mesh/box_mesh.hpp"
 #include "obs/gate_audit.hpp"
 #include "obs/scope.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/proc_group.hpp"
-#include "runtime/transport.hpp"
 #include "solver/init_conditions.hpp"
 #include "util/stats.hpp"
 
@@ -37,59 +32,6 @@ DistFramework make_dist(FrameworkOptions opt, int boxn) {
                        blast);
   }
   return fw;
-}
-
-// Cross-transport determinism at the framework level: routing every
-// payload through child depot processes (pipe transport) must leave the
-// whole adaption cycle bit-identical — element counts, solution fields,
-// ledger, deterministic trace and metrics views.
-TEST(DistFramework, PipeTransportCyclesIdenticalToInProc) {
-  auto run_cycles = [](rt::TransportKind transport) {
-    FrameworkOptions opt;
-    opt.nranks = 8;
-    opt.refine_fraction = 0.08;
-    opt.imbalance_trigger = 1.02;  // make the remap path fire
-    opt.solver_steps_per_cycle = 3;
-    opt.transport = transport;
-    opt.transport_procs = 3;
-    auto fw = make_dist(opt, 5);
-    std::vector<DistCycleReport> reps;
-    for (int i = 0; i < 2; ++i) reps.push_back(fw.cycle());
-    fw.dist_mesh().validate();
-    std::vector<std::vector<double>> rho(static_cast<std::size_t>(opt.nranks));
-    for (Rank r = 0; r < opt.nranks; ++r) {
-      rho[static_cast<std::size_t>(r)] = fw.solver().density_field(r);
-    }
-    return std::make_tuple(std::move(reps), fw.elements_per_rank(),
-                           std::move(rho), fw.engine().ledger(),
-                           fw.trace().deterministic_json(),
-                           fw.metrics().deterministic_json().dump(),
-                           fw.memory().deterministic_json().dump());
-  };
-
-  const auto inproc = run_cycles(rt::TransportKind::kInProc);
-  const auto pipe = run_cycles(rt::TransportKind::kPipe);
-
-  const auto& ri = std::get<0>(inproc);
-  const auto& rp = std::get<0>(pipe);
-  ASSERT_EQ(ri.size(), rp.size());
-  for (std::size_t i = 0; i < ri.size(); ++i) {
-    EXPECT_EQ(rp[i].elements_before, ri[i].elements_before);
-    EXPECT_EQ(rp[i].elements_after, ri[i].elements_after);
-    EXPECT_EQ(rp[i].accepted, ri[i].accepted);
-    EXPECT_EQ(rp[i].elements_migrated, ri[i].elements_migrated);
-    EXPECT_EQ(rp[i].volume.total_elems, ri[i].volume.total_elems);
-  }
-  EXPECT_EQ(std::get<1>(pipe), std::get<1>(inproc));  // elements per rank
-  EXPECT_EQ(std::get<2>(pipe), std::get<2>(inproc));  // density fields
-  EXPECT_EQ(std::get<3>(pipe), std::get<3>(inproc));  // full ledger
-  EXPECT_EQ(std::get<4>(pipe), std::get<4>(inproc));  // deterministic trace
-  EXPECT_EQ(std::get<5>(pipe), std::get<5>(inproc));  // deterministic metrics
-  // plum-mem: rank lambdas always run in the coordinator (depot children
-  // only buffer), so the per-phase allocation profile is transport-
-  // invariant — and embedded in the trace bytes compared above.
-  EXPECT_EQ(std::get<6>(pipe), std::get<6>(inproc));
-  EXPECT_NE(std::get<4>(inproc).find("\"plum-heap/1\""), std::string::npos);
 }
 
 TEST(DistFramework, CycleRefinesAndStaysConsistent) {
@@ -218,7 +160,7 @@ TEST(DistFramework, ObservabilityCommMatrixGaugesAndGateAudit) {
 
 // plum-scope: the always-on flight recorder fills one ring per rank, the
 // scope stream appends exactly one validating plum-scope/1 NDJSON record
-// per cycle, and the recorder's deterministic view is transport-invariant.
+// per cycle.
 TEST(DistFramework, ScopeStreamWritesOneValidatedRecordPerCycle) {
   const std::string stream =
       ::testing::TempDir() + "dist_scope_stream.ndjson";
@@ -232,7 +174,6 @@ TEST(DistFramework, ScopeStreamWritesOneValidatedRecordPerCycle) {
   opt.scope_name = "stream_unit";
   opt.scope_stream = stream;
   const int cycles = 3;
-  std::string scope_det;
   {
     auto fw = make_dist(opt, 4);
     for (int i = 0; i < cycles; ++i) fw.cycle();
@@ -244,7 +185,6 @@ TEST(DistFramework, ScopeStreamWritesOneValidatedRecordPerCycle) {
       EXPECT_EQ(fw.scope().events_recorded(r), steps) << "rank " << r;
     }
     EXPECT_FALSE(fw.scope().phase_names().empty());
-    scope_det = fw.scope().deterministic_json().dump();
   }
 
   std::ifstream in(stream);
@@ -264,26 +204,16 @@ TEST(DistFramework, ScopeStreamWritesOneValidatedRecordPerCycle) {
     for (std::size_t r = 0; r < ranks->size(); ++r) {
       busy_total += ranks->at(r).find("busy")->as_int();
     }
-    EXPECT_EQ(rec.find("depot"), nullptr);  // in-proc: no depot children
     ++n;
   }
   EXPECT_EQ(n, cycles);
   EXPECT_GT(busy_total, 0);
   std::remove(stream.c_str());
-
-  // Same workload over the pipe transport: identical deterministic rings.
-  FrameworkOptions popt = opt;
-  popt.scope_stream.clear();
-  popt.transport = rt::TransportKind::kPipe;
-  popt.transport_procs = 2;
-  auto pfw = make_dist(popt, 4);
-  for (int i = 0; i < cycles; ++i) pfw.cycle();
-  EXPECT_EQ(pfw.scope().deterministic_json().dump(), scope_det);
 }
 
-// Killing a depot child mid-run must leave a validating plum-postmortem/1
-// document behind: the assert's rank-death reason, >= 1 ring event for
-// every surviving rank, and the dead child's captured stderr.
+// A rank program that fails an assertion mid-superstep must leave a
+// validating plum-postmortem/1 document behind: the assert's reason and
+// message, and >= 1 flight-recorder event for every rank.
 TEST(DistFrameworkDeathTest, RankDeathWritesValidatingPostmortem) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string dir = ::testing::TempDir();
@@ -298,18 +228,15 @@ TEST(DistFrameworkDeathTest, RankDeathWritesValidatingPostmortem) {
         opt.refine_fraction = 0.05;
         opt.imbalance_trigger = 1.05;
         opt.solver_steps_per_cycle = 3;
-        opt.transport = rt::TransportKind::kPipe;
-        opt.transport_procs = 2;
         opt.scope_name = "death_unit";
         auto fw = make_dist(opt, 4);
         fw.cycle();  // populate the rings before the crash
-        auto& pipe = dynamic_cast<rt::PipeTransport&>(fw.engine().transport());
-        ::kill(pipe.procs().pid(0), SIGKILL);
-        int status = 0;
-        ::waitpid(pipe.procs().pid(0), &status, 0);
-        fw.cycle();
+        fw.engine().superstep([](Rank r, const rt::Inbox&, rt::Outbox&) {
+          PLUM_ASSERT_MSG(r != 2, "rank 2 hit a corrupt mesh invariant");
+          return false;
+        });
       },
-      "rank group child died");
+      "rank 2 hit a corrupt mesh invariant");
   ASSERT_EQ(unsetenv("PLUM_BENCH_JSON_DIR"), 0);
 
   std::ifstream in(pm_path);
@@ -321,9 +248,9 @@ TEST(DistFrameworkDeathTest, RankDeathWritesValidatingPostmortem) {
   ASSERT_TRUE(obs::Json::parse(buf.str(), &doc, &err)) << err;
   ASSERT_EQ(obs::validate_postmortem(doc), "");
   EXPECT_EQ(doc.find("name")->as_string(), "death_unit");
-  EXPECT_NE(doc.find("reason")->find("msg")->as_string().find(
-                "rank group child died"),
-            std::string::npos);
+  EXPECT_EQ(doc.find("reason")->find("msg")->as_string(),
+            "rank 2 hit a corrupt mesh invariant");
+  EXPECT_EQ(doc.find("reason")->find("expr")->as_string(), "r != 2");
   // Every rank kept flight-recorder evidence of the run that crashed.
   const obs::Json* scope = doc.find("scope");
   ASSERT_NE(scope, nullptr);
@@ -332,12 +259,6 @@ TEST(DistFrameworkDeathTest, RankDeathWritesValidatingPostmortem) {
   for (std::size_t r = 0; r < ranks->size(); ++r) {
     EXPECT_GE(ranks->at(r).find("events")->size(), 1u) << "rank " << r;
   }
-  // The dead child's captured stderr made it into the document.
-  EXPECT_NE(doc.find("child_stderr")->as_string().find("plum-depot group=0"),
-            std::string::npos);
-  const obs::Json* depot = doc.find("depot");
-  ASSERT_NE(depot, nullptr);
-  EXPECT_EQ(depot->size(), 2u);
   std::remove(pm_path.c_str());
 }
 

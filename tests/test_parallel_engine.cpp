@@ -85,32 +85,6 @@ TEST(CrossEngine, MessageStormIdenticalDeliveryAndLedger) {
   }
 }
 
-// The transport contract (runtime/transport.hpp): InProc and Pipe must be
-// indistinguishable to rank programs. Same storm, both engines, both
-// transports, several group counts — delivery traces (content and order),
-// ledgers, and comm matrices must all be bit-identical to the sequential
-// in-proc reference.
-TEST(CrossTransport, MessageStormIdenticalInboxesLedgersAndCommMatrices) {
-  for (Rank p : {4, 8}) {
-    Engine ref(p);
-    const auto want = run_storm(ref, 6);
-    for (int threads : {1, 4}) {
-      for (int groups : {0, 1, 3}) {
-        auto eng =
-            rt::make_engine(p, threads, rt::TransportKind::kPipe, groups);
-        const auto got = run_storm(*eng, 6);
-        const std::string where = "p=" + std::to_string(p) +
-                                  " threads=" + std::to_string(threads) +
-                                  " groups=" + std::to_string(groups);
-        EXPECT_EQ(got, want) << where;
-        EXPECT_EQ(eng->ledger(), ref.ledger()) << where;
-        EXPECT_EQ(eng->ledger().comm_matrix(), ref.ledger().comm_matrix())
-            << where;
-      }
-    }
-  }
-}
-
 // plum-scope determinism contract: with a FlightRecorder attached as the
 // engine's RankScopeSink, the recorder's deterministic view (steps, phases,
 // ticks — wall_ns excluded) must be byte-identical across the sequential

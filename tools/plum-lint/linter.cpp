@@ -356,10 +356,10 @@ void check_wallclock_in_body(const std::string& file, const Tokens& t,
 // --- check: raw-fd-in-superstep -----------------------------------------------
 
 /// POSIX fd calls whose presence in a rank program means it is doing its
-/// own IO. All process-boundary IO belongs to the Transport behind the
-/// barrier (rt::frame's write_all / read_some are the only sanctioned fd
-/// touchpoints); a send() or read() inside a superstep lambda bypasses the
-/// ledger, the conservation check, and the delivery-order contract.
+/// own IO. Ranks exchange data only through Outbox::send, which the engine
+/// delivers at the barrier; a send() or read() inside a superstep lambda
+/// bypasses the ledger, the conservation check, and the delivery-order
+/// contract. fd IO belongs on the host side, outside the lambdas.
 const std::set<std::string>& raw_fd_functions() {
   static const std::set<std::string> f = {
       "accept", "bind",     "close",   "connect", "creat",   "dup",
@@ -373,8 +373,8 @@ const std::set<std::string>& raw_fd_functions() {
 
 /// Bare POSIX fd calls inside a superstep lambda. Member calls
 /// (`out.send(...)` — the Outbox API) and namespace-qualified names
-/// (`rt::read_some`, which is not on the list anyway) are skipped; bare
-/// and global-scope (`::write(...)`) calls are flagged.
+/// (`obs::write_json`, say) are skipped; bare and global-scope
+/// (`::write(...)`) calls are flagged.
 void check_raw_fd_in_body(const std::string& file, const Tokens& t,
                           const SuperstepLambda& lam, const SkipSpans& skip,
                           std::vector<Diagnostic>& out) {
@@ -395,8 +395,8 @@ void check_raw_fd_in_body(const std::string& file, const Tokens& t,
          "'" + tk.text +
              "(...)' inside a superstep lambda: rank programs must not "
              "touch file descriptors — IO crosses the barrier outside the "
-             "ledger and the transport's delivery-order contract; post "
-             "bytes via Outbox::send and let the Transport move them",
+             "ledger and the engine's delivery-order contract; post "
+             "bytes via Outbox::send and let the engine deliver them",
          false,
          ""});
   }

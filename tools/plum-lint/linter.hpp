@@ -29,12 +29,15 @@
 //                          seconds at the barrier, and plum-path's
 //                          deterministic view relies on counters only.
 //   raw-fd-in-superstep    bare POSIX fd calls (read/write/send/recv/
-//                          open/close/...) inside superstep lambdas: all
-//                          process-boundary IO belongs to the Transport
-//                          at the barrier (runtime/frame.hpp), never to a
-//                          rank program — fd traffic bypasses the ledger
-//                          and the delivery-order contract. Member calls
-//                          like `out.send(...)` are not flagged.
+//                          open/close/...) inside superstep lambdas: a
+//                          rank program exchanges data only through
+//                          Outbox::send, which the engine delivers at the
+//                          barrier — fd traffic bypasses the ledger, the
+//                          conservation check and the delivery-order
+//                          contract. Host-side IO outside the lambdas
+//                          (report writers, the scope stream) is fine.
+//                          Member calls like `out.send(...)` are not
+//                          flagged.
 //
 // Suppressions: `// plum-lint: allow(<check>) -- <justification>` on the
 // same line or the line directly above the diagnostic. The justification

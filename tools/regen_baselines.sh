@@ -38,8 +38,7 @@ export PLUM_BENCH_JSON_DIR="${out_dir}"
 "${build_dir}/bench/bench_fig6"
 "${build_dir}/bench/bench_table2"
 "${build_dir}/bench/bench_distributed" --threads 2
-# Weak scaling at P=64/128/256; modeled metrics are transport-invariant
-# (the transport-smoke CI job diffs its pipe run against this baseline).
+# Weak scaling at P=64/128/256.
 "${build_dir}/bench/bench_distributed" --weak --threads 2
 
 # The benches also drop trace / run / gate / replay side files next to the
