@@ -3,6 +3,7 @@
 #include "graph/dual.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 
 namespace plum::mesh {
@@ -26,6 +27,63 @@ struct FaceRec {
 };
 
 }  // namespace
+
+void TetMesh::EdgeMap::reserve(std::size_t n) {
+  std::size_t capacity = 16;
+  while (capacity * 3 < n * 4) capacity *= 2;
+  if (capacity > slots_.size()) rehash(capacity);
+}
+
+void TetMesh::EdgeMap::clear() {
+  slots_.clear();
+  size_ = 0;
+  shift_ = 64;
+}
+
+std::size_t TetMesh::EdgeMap::home(Index v0, Index v1) const {
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(v0)) << 32) |
+      static_cast<std::uint32_t>(v1);
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
+}
+
+Index TetMesh::EdgeMap::find(Index v0, Index v1) const {
+  if (v0 > v1) std::swap(v0, v1);
+  if (slots_.empty()) return kInvalidIndex;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(v0, v1);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.id == kInvalidIndex) return kInvalidIndex;
+    if (s.v0 == v0 && s.v1 == v1) return s.id;
+  }
+}
+
+Index TetMesh::EdgeMap::insert(Index v0, Index v1, Index id) {
+  if (v0 > v1) std::swap(v0, v1);
+  if ((size_ + 1) * 4 > slots_.size() * 3) {
+    rehash(std::max<std::size_t>(16, slots_.size() * 2));
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(v0, v1);; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.id == kInvalidIndex) {
+      s = Slot{v0, v1, id};
+      ++size_;
+      return id;
+    }
+    if (s.v0 == v0 && s.v1 == v1) return s.id;
+  }
+}
+
+void TetMesh::EdgeMap::rehash(std::size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{});
+  shift_ = 64 - std::countr_zero(capacity);
+  size_ = 0;
+  for (const Slot& s : old) {
+    if (s.id != kInvalidIndex) insert(s.v0, s.v1, s.id);
+  }
+}
 
 TetMesh TetMesh::from_cells(std::vector<Vec3> vertices,
                             std::span<const std::array<Index, 4>> tets) {
@@ -107,9 +165,9 @@ TetMesh TetMesh::assemble(std::vector<Vertex> vertices,
   m.n_init_elems_ = n_init_elems;
   m.n_init_edges_ = n_init_edges;
 
-  m.edge_map_.reserve(m.edges_.size() * 2);
+  m.edge_map_.reserve(m.edges_.size());
   for (Index e = 0; e < m.num_edges(); ++e) {
-    m.edge_map_.emplace(edge_key(m.edges_[e].v0, m.edges_[e].v1), e);
+    m.edge_map_.insert(m.edges_[e].v0, m.edges_[e].v1, e);
   }
   m.e2elem_.assign(m.edges_.size(), {});
   for (Index t = 0; t < m.num_elements(); ++t) {
@@ -144,8 +202,7 @@ Index TetMesh::num_active_bfaces() const {
 }
 
 Index TetMesh::find_edge(Index v0, Index v1) const {
-  auto it = edge_map_.find(edge_key(v0, v1));
-  return it == edge_map_.end() ? kInvalidIndex : it->second;
+  return edge_map_.find(v0, v1);
 }
 
 std::vector<Index> TetMesh::active_elements() const {
@@ -164,9 +221,8 @@ Index TetMesh::add_vertex(const Vec3& pos, bool boundary) {
 
 Index TetMesh::find_or_add_edge(Index v0, Index v1, int level, bool boundary) {
   PLUM_ASSERT(v0 != v1);
-  const auto key = edge_key(v0, v1);
-  auto it = edge_map_.find(key);
-  if (it != edge_map_.end()) return it->second;
+  const Index found = edge_map_.find(v0, v1);
+  if (found != kInvalidIndex) return found;
   Edge e;
   e.v0 = std::min(v0, v1);
   e.v1 = std::max(v0, v1);
@@ -175,7 +231,7 @@ Index TetMesh::find_or_add_edge(Index v0, Index v1, int level, bool boundary) {
   const Index id = static_cast<Index>(edges_.size());
   edges_.push_back(e);
   e2elem_.emplace_back();
-  edge_map_.emplace(key, id);
+  edge_map_.insert(e.v0, e.v1, id);
   return id;
 }
 
@@ -386,9 +442,9 @@ std::vector<Index> TetMesh::purge_and_compact() {
   }
   // Rebuild edge lookup.
   edge_map_.clear();
-  edge_map_.reserve(edges_.size() * 2);
+  edge_map_.reserve(edges_.size());
   for (Index e = 0; e < num_edges(); ++e) {
-    edge_map_.emplace(edge_key(edges_[e].v0, edges_[e].v1), e);
+    edge_map_.insert(edges_[e].v0, edges_[e].v1, e);
   }
 
   // Invert the vertex map (old->new) into new->old for solution arrays.

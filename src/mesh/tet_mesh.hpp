@@ -16,7 +16,6 @@
 
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -158,20 +157,42 @@ class TetMesh {
   [[nodiscard]] double edge_length(Index e) const;
 
  private:
-  static std::uint64_t edge_key(Index v0, Index v1) {
-    if (v0 > v1) std::swap(v0, v1);
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(v0)) << 32) |
-           static_cast<std::uint32_t>(v1);
-  }
+  /// Edge lookup by endpoints: an open-addressing hash table (linear
+  /// probing, power-of-two capacity, at most 3/4 full) from the canonical
+  /// pair (v0 < v1) to the edge id. Lookup-only — never iterated, so its
+  /// layout cannot reach messages or sums — and one flat allocation, so a
+  /// mesh builds and frees it in O(1) allocator calls.
+  class EdgeMap {
+   public:
+    /// Makes room for `n` entries without rehashing.
+    void reserve(std::size_t n);
+    void clear();
+    /// Id stored for (v0, v1), or kInvalidIndex.
+    [[nodiscard]] Index find(Index v0, Index v1) const;
+    /// Stores (v0, v1) -> id unless the pair is present; returns the stored
+    /// id either way.
+    Index insert(Index v0, Index v1, Index id);
+
+   private:
+    struct Slot {
+      Index v0 = kInvalidIndex;
+      Index v1 = kInvalidIndex;
+      Index id = kInvalidIndex;  ///< kInvalidIndex marks an empty slot
+    };
+    [[nodiscard]] std::size_t home(Index v0, Index v1) const;
+    void rehash(std::size_t capacity);
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    int shift_ = 64;
+  };
 
   std::vector<Vertex> vertices_;
   std::vector<Edge> edges_;
   std::vector<Element> elements_;
   std::vector<BFace> bfaces_;
   std::vector<std::vector<Index>> e2elem_;  // leaf elements per edge
-  // plum-lint: allow(unordered-iteration) -- lookup-only (find/emplace by
-  // edge key); never iterated, so its order cannot reach messages or sums.
-  std::unordered_map<std::uint64_t, Index> edge_map_;
+  EdgeMap edge_map_;
   Index n_init_elems_ = 0;
   Index n_init_edges_ = 0;
 };

@@ -11,11 +11,13 @@ namespace plum::obs {
 std::string tag_class_name(int tag) {
   // Keep in sync with the tag conventions of the sending subsystems:
   // pmesh/migrate.cpp + pmesh/finalize.cpp use tag 0 for bulk payloads,
+  // pmesh/migrate.cpp 21..23 for solution states and SPL repair,
   // pmesh/parallel_adapt.cpp uses 1..3, solver/parallel_solver.cpp 11/12
   // and 111 (metric reply).
   if (tag == rt::detail::kCollectiveTag) return "collective";
   if (tag == 0) return "bulk";
   if (tag >= 1 && tag <= 3) return "adapt";
+  if (tag >= 21 && tag <= 23) return "migrate";
   if (tag == 11 || tag == 12 || tag == 111) return "solver";
   return "tag" + std::to_string(tag);
 }

@@ -52,8 +52,9 @@ struct CommTotals {
 /// Maps a message tag to its subsystem class for reporting. The values
 /// mirror the senders' conventions: rt::detail::kCollectiveTag for
 /// collectives, tag 0 for bulk element/ghost payloads (pmesh migrate +
-/// finalize), 1-3 for the parallel adaption handshakes, 11/12/111 for the
-/// solver halo exchange. Unknown tags render as "tag<N>" rather than
+/// finalize), 21-23 for migration's state and SPL-repair traffic, 1-3 for
+/// the parallel adaption handshakes, 11/12/111 for the solver halo
+/// exchange. Unknown tags render as "tag<N>" rather than
 /// asserting, so traces from future subsystems stay loadable.
 [[nodiscard]] std::string tag_class_name(int tag);
 

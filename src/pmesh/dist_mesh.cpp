@@ -1,12 +1,65 @@
 #include "pmesh/dist_mesh.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "util/assert.hpp"
 
 namespace plum::pmesh {
 
 using mesh::TetMesh;
+
+namespace {
+
+/// Ids grouped by rank: items[start[q], start[q + 1]) belong to rank q.
+struct RankBuckets {
+  std::vector<std::size_t> start;
+  std::vector<Index> items;
+
+  [[nodiscard]] std::span<const Index> of(Rank q) const {
+    const auto b = start[static_cast<std::size_t>(q)];
+    return {items.data() + b, start[static_cast<std::size_t>(q) + 1] - b};
+  }
+};
+
+/// One copy of a global vertex or edge: its local id on `rank`.
+struct Copy {
+  Index global;
+  Rank rank;
+  Index local;
+};
+
+/// Turns the copies (listed in rank order) into SPL entries: every object
+/// with two or more copies gets, on each holder, the other holders in rank
+/// order. `spl_of(q)` is rank q's SPL map.
+template <typename SplOf>
+void invert_copies(const std::vector<Copy>& copies, Index n, SplOf spl_of) {
+  // Counting sort by global id; stable, so each object's copies stay in
+  // rank order.
+  std::vector<std::size_t> start(static_cast<std::size_t>(n) + 1, 0);
+  for (const Copy& c : copies) ++start[static_cast<std::size_t>(c.global) + 1];
+  for (std::size_t i = 0; i + 1 < start.size(); ++i) start[i + 1] += start[i];
+  std::vector<Copy> sorted(copies.size());
+  {
+    std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+    for (const Copy& c : copies) {
+      sorted[cursor[static_cast<std::size_t>(c.global)]++] = c;
+    }
+  }
+  for (std::size_t g = 0; g + 1 < start.size(); ++g) {
+    const std::size_t b = start[g];
+    const std::size_t e = start[g + 1];
+    if (e - b < 2) continue;
+    for (std::size_t i = b; i < e; ++i) {
+      auto& spl = spl_of(sorted[i].rank)[sorted[i].local];
+      for (std::size_t j = b; j < e; ++j) {
+        if (j != i) spl.push_back({sorted[j].rank, sorted[j].local});
+      }
+    }
+  }
+}
+
+}  // namespace
 
 DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
                    Rank nranks) {
@@ -55,81 +108,83 @@ DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
         bface_rank[static_cast<std::size_t>(bf.child[0])];
   }
 
-  // Per-global-entity local ids per rank (kInvalidIndex = not present).
+  // Elements and boundary faces bucketed by rank in one counting pass;
+  // each bucket keeps ascending global order.
+  const auto by_rank = [nranks](const std::vector<Rank>& rank_of) {
+    RankBuckets b;
+    // plum-scale: host-only -- construction-time bucket offsets, built once on the host
+    b.start.assign(static_cast<std::size_t>(nranks) + 1, 0);
+    for (const Rank q : rank_of) {
+      if (q != kNoRank) ++b.start[static_cast<std::size_t>(q) + 1];
+    }
+    for (Rank q = 0; q < nranks; ++q) {
+      b.start[static_cast<std::size_t>(q) + 1] +=
+          b.start[static_cast<std::size_t>(q)];
+    }
+    b.items.resize(b.start.back());
+    std::vector<std::size_t> cursor(b.start.begin(), b.start.end() - 1);
+    for (std::size_t i = 0; i < rank_of.size(); ++i) {
+      if (rank_of[i] == kNoRank) continue;
+      b.items[cursor[static_cast<std::size_t>(rank_of[i])]++] =
+          static_cast<Index>(i);
+    }
+    return b;
+  };
+  const RankBuckets elems_of = by_rank(elem_rank);
+  const RankBuckets bfaces_of = by_rank(bface_rank);
+
+  // One global-id -> local-id scratch per entity kind, shared by all ranks:
+  // a rank's entries are reset through its own selection lists before the
+  // next rank starts (kInvalidIndex = not selected).
   const Index nv = global.num_vertices();
   const Index ne = global.num_edges();
-  // plum-scale: host-only -- construction-time scatter map, built once on the host
-  std::vector<std::vector<Index>> vmap(
-      static_cast<std::size_t>(nranks),
-      std::vector<Index>(static_cast<std::size_t>(nv), kInvalidIndex));
-  // plum-scale: host-only -- construction-time scatter map, built once on the host
-  std::vector<std::vector<Index>> emap(
-      static_cast<std::size_t>(nranks),
-      std::vector<Index>(static_cast<std::size_t>(ne), kInvalidIndex));
+  std::vector<Index> vm(static_cast<std::size_t>(nv), kInvalidIndex);
+  std::vector<Index> em(static_cast<std::size_t>(ne), kInvalidIndex);
+  std::vector<Index> tmap(static_cast<std::size_t>(nt), kInvalidIndex);
+  std::vector<Index> fmap(static_cast<std::size_t>(global.num_bfaces()),
+                          kInvalidIndex);
+  // Every (global id, rank, local id) copy, in rank order: the holder
+  // lists the SPLs are inverted from.
+  std::vector<Copy> vcopies, ecopies;
 
   for (Rank r = 0; r < nranks; ++r) {
     LocalMesh& lm = locals_[static_cast<std::size_t>(r)];
-
-    // --- select elements (global order => contiguous sibling groups) ------
-    std::vector<Index> tmap(static_cast<std::size_t>(nt), kInvalidIndex);
-    std::vector<Index> sel_elems;
-    for (Index t = 0; t < nt; ++t) {
-      if (elem_rank[static_cast<std::size_t>(t)] == r) {
-        tmap[static_cast<std::size_t>(t)] =
-            static_cast<Index>(sel_elems.size());
-        sel_elems.push_back(t);
-      }
+    const std::span<const Index> sel_elems = elems_of.of(r);
+    const std::span<const Index> sel_bfaces = bfaces_of.of(r);
+    for (std::size_t i = 0; i < sel_elems.size(); ++i) {
+      tmap[static_cast<std::size_t>(sel_elems[i])] = static_cast<Index>(i);
+    }
+    for (std::size_t i = 0; i < sel_bfaces.size(); ++i) {
+      fmap[static_cast<std::size_t>(sel_bfaces[i])] = static_cast<Index>(i);
     }
 
-    // --- vertices & edges referenced by those elements ---------------------
-    auto& vm = vmap[static_cast<std::size_t>(r)];
-    auto& em = emap[static_cast<std::size_t>(r)];
+    // --- vertices & edges referenced by those elements, in global order ----
     std::vector<Index> sel_verts, sel_edges;
-    auto touch_vert = [&](Index v) {
-      if (vm[static_cast<std::size_t>(v)] == kInvalidIndex) {
-        vm[static_cast<std::size_t>(v)] = -2;  // mark; number later in order
-      }
-    };
-    auto touch_edge = [&](Index e) {
-      if (em[static_cast<std::size_t>(e)] == kInvalidIndex) {
-        em[static_cast<std::size_t>(e)] = -2;
+    auto touch = [](std::vector<Index>& map, std::vector<Index>& sel, Index id) {
+      if (map[static_cast<std::size_t>(id)] == kInvalidIndex) {
+        map[static_cast<std::size_t>(id)] = -2;  // mark; number below
+        sel.push_back(id);
       }
     };
     for (Index t : sel_elems) {
-      for (Index v : global.element(t).verts) touch_vert(v);
-      for (Index e : global.element(t).edges) touch_edge(e);
+      for (Index v : global.element(t).verts) touch(vm, sel_verts, v);
+      for (Index e : global.element(t).edges) touch(em, sel_edges, e);
     }
-    // Midpoints of included bisected edges (endpoints of child edges that
-    // are themselves included when the children's elements are included).
-    for (Index e = 0; e < ne; ++e) {
-      if (em[static_cast<std::size_t>(e)] == -2) {
-        touch_vert(global.edge(e).v0);
-        touch_vert(global.edge(e).v1);
-      }
+    // Endpoints of included edges (already element vertices; kept so the
+    // selection rule reads the same as for any edge set).
+    for (Index e : sel_edges) {
+      touch(vm, sel_verts, global.edge(e).v0);
+      touch(vm, sel_verts, global.edge(e).v1);
     }
-    for (Index v = 0; v < nv; ++v) {
-      if (vm[static_cast<std::size_t>(v)] == -2) {
-        vm[static_cast<std::size_t>(v)] = static_cast<Index>(sel_verts.size());
-        sel_verts.push_back(v);
-      }
+    std::sort(sel_verts.begin(), sel_verts.end());
+    std::sort(sel_edges.begin(), sel_edges.end());
+    for (std::size_t i = 0; i < sel_verts.size(); ++i) {
+      vm[static_cast<std::size_t>(sel_verts[i])] = static_cast<Index>(i);
+      vcopies.push_back({sel_verts[i], r, static_cast<Index>(i)});
     }
-    for (Index e = 0; e < ne; ++e) {
-      if (em[static_cast<std::size_t>(e)] == -2) {
-        em[static_cast<std::size_t>(e)] = static_cast<Index>(sel_edges.size());
-        sel_edges.push_back(e);
-      }
-    }
-
-    // --- boundary faces -----------------------------------------------------
-    std::vector<Index> fmap(static_cast<std::size_t>(global.num_bfaces()),
-                            kInvalidIndex);
-    std::vector<Index> sel_bfaces;
-    for (Index f = 0; f < global.num_bfaces(); ++f) {
-      if (bface_rank[static_cast<std::size_t>(f)] == r) {
-        fmap[static_cast<std::size_t>(f)] =
-            static_cast<Index>(sel_bfaces.size());
-        sel_bfaces.push_back(f);
-      }
+    for (std::size_t i = 0; i < sel_edges.size(); ++i) {
+      em[static_cast<std::size_t>(sel_edges[i])] = static_cast<Index>(i);
+      ecopies.push_back({sel_edges[i], r, static_cast<Index>(i)});
     }
 
     // --- build localized records -------------------------------------------
@@ -197,41 +252,22 @@ DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
     lm.mesh = TetMesh::assemble(std::move(lverts), std::move(ledges),
                                 std::move(lelems), std::move(lbfaces),
                                 n_init_elems, n_init_edges);
-    lm.vert_global = sel_verts;
-    lm.edge_global = sel_edges;
+
+    for (Index v : sel_verts) vm[static_cast<std::size_t>(v)] = kInvalidIndex;
+    for (Index e : sel_edges) em[static_cast<std::size_t>(e)] = kInvalidIndex;
+    for (Index t : sel_elems) tmap[static_cast<std::size_t>(t)] = kInvalidIndex;
+    for (Index f : sel_bfaces) fmap[static_cast<std::size_t>(f)] = kInvalidIndex;
+    lm.vert_global = std::move(sel_verts);
+    lm.edge_global = std::move(sel_edges);
   }
 
-  // --- SPLs: invert the per-rank maps --------------------------------------
-  for (Index v = 0; v < nv; ++v) {
-    std::vector<SharedCopy> copies;
-    for (Rank r = 0; r < nranks; ++r) {
-      const Index lid = vmap[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)];
-      if (lid != kInvalidIndex) copies.push_back({r, lid});
-    }
-    if (copies.size() < 2) continue;
-    for (const auto& me : copies) {
-      auto& spl = locals_[static_cast<std::size_t>(me.rank)]
-                      .shared_verts[me.remote_id];
-      for (const auto& other : copies) {
-        if (other.rank != me.rank) spl.push_back(other);
-      }
-    }
-  }
-  for (Index e = 0; e < ne; ++e) {
-    std::vector<SharedCopy> copies;
-    for (Rank r = 0; r < nranks; ++r) {
-      const Index lid = emap[static_cast<std::size_t>(r)][static_cast<std::size_t>(e)];
-      if (lid != kInvalidIndex) copies.push_back({r, lid});
-    }
-    if (copies.size() < 2) continue;
-    for (const auto& me : copies) {
-      auto& spl = locals_[static_cast<std::size_t>(me.rank)]
-                      .shared_edges[me.remote_id];
-      for (const auto& other : copies) {
-        if (other.rank != me.rank) spl.push_back(other);
-      }
-    }
-  }
+  // --- SPLs: invert the per-object holder lists ------------------------------
+  invert_copies(vcopies, nv, [&](Rank q) -> SplMap& {
+    return locals_[static_cast<std::size_t>(q)].shared_verts;
+  });
+  invert_copies(ecopies, ne, [&](Rank q) -> SplMap& {
+    return locals_[static_cast<std::size_t>(q)].shared_edges;
+  });
 }
 
 Index DistMesh::total_active_elements() const {

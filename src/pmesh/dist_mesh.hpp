@@ -9,12 +9,13 @@
 // of its copies, which is what messages address ("a list of shared
 // processors is also generated for each shared object").
 //
-// Construction distributes a (possibly already adapted) global mesh. After
-// that, the parallel marking / refinement algorithms (parallel_adapt.hpp)
-// mutate only the per-rank local meshes and keep the SPL maps consistent
-// through explicit messages. Data migration is performed by redistributing
-// from the global mirror (DESIGN.md §3 documents this substitution); its
-// traffic volumes are charged from the real subtree sizes.
+// Construction distributes a (possibly already adapted) global mesh in
+// O(N + P); it serves the initial distribution and the gather-based
+// distributed coarsening. After that, the parallel marking / refinement
+// algorithms (parallel_adapt.hpp) mutate only the per-rank local meshes and
+// keep the SPL maps consistent through explicit messages, and data
+// migration (migrate.hpp) moves refinement subtrees between the local
+// meshes in place, through the engine, without a global mirror.
 
 #include <map>
 #include <vector>
@@ -47,8 +48,9 @@ struct LocalMesh {
   std::vector<Index> root_global;
 
   /// Construction-time global ids (local id -> id in the source global
-  /// mesh). Entities created by later parallel adaption have no entry;
-  /// their cross-rank identity lives purely in the SPL maps.
+  /// mesh). Entities created by later parallel adaption have no entry, and
+  /// migration clears both tables; cross-rank identity lives purely in the
+  /// SPL maps.
   std::vector<Index> vert_global;
   std::vector<Index> edge_global;
 
@@ -71,6 +73,9 @@ class DistMesh {
  public:
   /// Distributes `global` over `nranks` ranks: initial element t goes to
   /// root_part[t]; descendants follow. `global` may be pre-adapted.
+  /// O(N + P): elements are bucketed by rank in one pass, each rank's id
+  /// maps reuse one shared scratch, and SPLs are inverted from per-object
+  /// holder lists.
   DistMesh(const mesh::TetMesh& global, const partition::PartVec& root_part,
            Rank nranks);
 

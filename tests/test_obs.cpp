@@ -345,11 +345,14 @@ TEST(TraceRecorder, TagClassNames) {
   EXPECT_EQ(obs::tag_class_name(2), "adapt");
   EXPECT_EQ(obs::tag_class_name(11), "solver");
   EXPECT_EQ(obs::tag_class_name(111), "solver");
+  EXPECT_EQ(obs::tag_class_name(21), "migrate");
+  EXPECT_EQ(obs::tag_class_name(23), "migrate");
   // Unknown tags fall back to a "tag<N>" bucket instead of aborting, so a
   // new subsystem's traffic still shows up in the per-class split.
   EXPECT_EQ(obs::tag_class_name(42), "tag42");
   EXPECT_EQ(obs::tag_class_name(4), "tag4");     // just past the adapt range
   EXPECT_EQ(obs::tag_class_name(13), "tag13");   // just past the solver tags
+  EXPECT_EQ(obs::tag_class_name(24), "tag24");   // just past the migrate tags
   EXPECT_EQ(obs::tag_class_name(-7), "tag-7");   // negative tags too
 }
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "adapt/adaptor.hpp"
 #include "mesh/box_mesh.hpp"
@@ -43,6 +46,108 @@ std::vector<std::vector<char>> localize_marks(const DistMesh& dm,
       }
     }
   }
+  return out;
+}
+
+/// A numbering-free description of rank r's local mesh: every vertex,
+/// edge, element and boundary face (with its links) spelled by vertex
+/// coordinates, plus root ids, leaf lists and the SPL holder ranks — each
+/// kind sorted, so two meshes compare equal iff they differ only in their
+/// local numbering.
+std::vector<std::string> canonical_form(const DistMesh& dm, Rank r) {
+  const LocalMesh& lm = dm.local(r);
+  const TetMesh& m = lm.mesh;
+  const auto pos = [&](std::ostream& os, Index v) {
+    if (v == kInvalidIndex) {
+      os << '-';
+      return;
+    }
+    const auto& p = m.vertex(v).pos;
+    os << std::hexfloat << '(' << p.x << ',' << p.y << ',' << p.z << ')'
+       << std::defaultfloat;
+  };
+  const auto edge_name = [&](std::ostream& os, Index e) {
+    if (e == kInvalidIndex) {
+      os << '-';
+      return;
+    }
+    std::ostringstream a, b;
+    pos(a, m.edge(e).v0);
+    pos(b, m.edge(e).v1);
+    os << std::min(a.str(), b.str()) << std::max(a.str(), b.str());
+  };
+  const auto verts_of = [&](std::ostream& os, const auto& vs) {
+    for (Index v : vs) pos(os, v);
+  };
+  const auto ranks_of = [](std::ostream& os, const SplMap& spl, Index id) {
+    const auto it = spl.find(id);
+    if (it == spl.end()) return;
+    for (const auto& c : it->second) os << c.rank << ',';
+  };
+  std::vector<std::vector<std::string>> kinds(4);
+  for (Index v = 0; v < m.num_vertices(); ++v) {
+    std::ostringstream os;
+    const auto& vx = m.vertex(v);
+    os << 'v';
+    pos(os, v);
+    os << vx.boundary << vx.alive << '|';
+    ranks_of(os, lm.shared_verts, v);
+    kinds[0].push_back(os.str());
+  }
+  for (Index e = 0; e < m.num_edges(); ++e) {
+    std::ostringstream os;
+    const auto& ed = m.edge(e);
+    os << 'e';
+    edge_name(os, e);
+    os << " l" << int{ed.level} << " b" << ed.boundary << " p";
+    edge_name(os, ed.parent);
+    os << " c";
+    edge_name(os, ed.child[0]);
+    edge_name(os, ed.child[1]);
+    os << " m";
+    pos(os, ed.mid);
+    os << " n" << m.edge_elements(e).size() << '|';
+    ranks_of(os, lm.shared_edges, e);
+    kinds[1].push_back(os.str());
+  }
+  for (Index t = 0; t < m.num_elements(); ++t) {
+    std::ostringstream os;
+    const auto& el = m.element(t);
+    os << 't';
+    verts_of(os, el.verts);
+    for (Index e : el.edges) edge_name(os, e);
+    os << " l" << int{el.level} << " s" << int{el.subdiv_type} << " k"
+       << int{el.num_children} << " a" << el.alive << " p";
+    if (el.parent != kInvalidIndex) verts_of(os, m.element(el.parent).verts);
+    os << " c";
+    if (el.first_child != kInvalidIndex) {
+      verts_of(os, m.element(el.first_child).verts);
+    }
+    os << " r" << lm.root_global[static_cast<std::size_t>(el.root)];
+    kinds[2].push_back(os.str());
+  }
+  for (Index f = 0; f < m.num_bfaces(); ++f) {
+    std::ostringstream os;
+    const auto& bf = m.bface(f);
+    os << 'f';
+    verts_of(os, bf.verts);
+    os << " k" << int{bf.num_children} << " p";
+    if (bf.parent != kInvalidIndex) verts_of(os, m.bface(bf.parent).verts);
+    os << " c";
+    for (Index c : bf.child) {
+      if (c != kInvalidIndex) verts_of(os, m.bface(c).verts);
+      os << ';';
+    }
+    kinds[3].push_back(os.str());
+  }
+  std::vector<std::string> out;
+  for (auto& k : kinds) {
+    std::sort(k.begin(), k.end());
+    out.insert(out.end(), k.begin(), k.end());
+  }
+  std::ostringstream init;
+  init << "init " << m.num_initial_elements() << ' ' << m.num_initial_edges();
+  out.push_back(init.str());
   return out;
 }
 
@@ -328,13 +433,29 @@ TEST(Migrate, MovesSubtreesAndChargesTraffic) {
             static_cast<std::int64_t>(global.num_elements()));
   EXPECT_GT(eng.ledger().total_bytes(), before_ledger);
 
-  // The rebuilt distribution matches a fresh one under the new partition.
+  // The ledger carries exactly the reported traffic, one pack message per
+  // (sender, receiver) set.
+  std::int64_t sent = 0, received = 0;
+  for (Rank r = 0; r < P; ++r) {
+    sent += stats.bytes_sent[static_cast<std::size_t>(r)];
+    received += stats.bytes_received[static_cast<std::size_t>(r)];
+  }
+  EXPECT_EQ(eng.ledger().total_bytes() - before_ledger, sent);
+  EXPECT_EQ(sent, received);
+  std::int64_t pack_msgs = 0;
+  for (const auto& step : eng.ledger().steps) {
+    for (const auto& c : step) {
+      for (const auto& cell : c.sends) pack_msgs += cell.tag == 0 ? cell.msgs : 0;
+    }
+  }
+  EXPECT_EQ(pack_msgs, stats.sets_moved);
+  EXPECT_EQ(stats.sets_moved, P);  // every rank sends to its successor
+
+  // The migrated distribution equals a fresh one under the new partition,
+  // entity for entity (compared by geometry: the numberings differ).
   DistMesh fresh(global, new_part, P);
   for (Rank r = 0; r < P; ++r) {
-    EXPECT_EQ(dm.local(r).mesh.num_active_elements(),
-              fresh.local(r).mesh.num_active_elements());
-    EXPECT_EQ(dm.local(r).mesh.num_vertices(),
-              fresh.local(r).mesh.num_vertices());
+    EXPECT_EQ(canonical_form(dm, r), canonical_form(fresh, r)) << "rank " << r;
   }
 }
 
