@@ -4,7 +4,6 @@
 
 #include "adapt/error_indicator.hpp"
 #include "obs/critical_path.hpp"
-#include "partition/quality.hpp"
 #include "pmesh/migrate.hpp"
 #include "pmesh/parallel_adapt.hpp"
 #include "pmesh/parallel_coarsen.hpp"
@@ -58,17 +57,9 @@ DistFramework::DistFramework(mesh::TetMesh initial_global,
                              FrameworkOptions opt)
     : opt_(opt),
       scope_(opt_.nranks, opt_.scope_ring_capacity),
-      mem_(opt_.nranks, opt_.arena_chunk_bytes) {
-  PLUM_ASSERT(opt_.nranks >= 1);
-  if (!opt_.replay_path.empty()) {
-    std::string err;
-    const bool loaded =
-        sim::ReplayBook::load(opt_.replay_path, &replay_book_, &err);
-    PLUM_ASSERT_MSG(loaded, "replay book failed to load");
-    replay_ = true;
-    opt_.calibration.enabled = true;
-  }
-  calib_ = sim::Calibration(opt_.machine, opt_.calibration);
+      mem_(opt_.nranks, opt_.arena_chunk_bytes),
+      balancer_(initial_global.build_initial_dual(), opt_, mem_) {
+  mem_.reset_arenas();  // constructor scratch dies here
   eng_ = rt::make_engine(opt_.nranks, opt_.threads);
   eng_->set_observer(&trace_);
   // plum-scope: the engine feeds the flight recorder one event per rank per
@@ -84,16 +75,8 @@ DistFramework::DistFramework(mesh::TetMesh initial_global,
     stream_ = std::make_unique<obs::ScopeStreamWriter>(opt_.scope_stream);
   }
 
-  dual_ = initial_global.build_initial_dual();
-  partition::MultilevelOptions popt;
-  popt.nparts = opt_.nranks;
-  popt.seed = opt_.seed;
-  popt.scratch = mem_.host_scratch();  // serial phase: host row
-  root_part_ = partition::partition(dual_, popt).part;
-  mem_.reset_arenas();  // constructor scratch dies here
-
-  dm_ = std::make_unique<pmesh::DistMesh>(initial_global, root_part_,
-                                          opt_.nranks);
+  dm_ = std::make_unique<pmesh::DistMesh>(initial_global,
+                                          balancer_.root_part(), opt_.nranks);
   rebind_solver();
 }
 
@@ -119,25 +102,37 @@ DistCycleReport DistFramework::cycle() {
   // rewinding here makes steady-state cycles reuse-only (zero chunk traffic).
   mem_.reset_arenas();
   rep.elements_before = dm_->total_active_elements();
-  const int this_cycle = cycle_index_;
-  // Price this cycle with the calibrated constants; while calibration is
-  // disabled the model equals the static opt_.machine, so nothing changes.
-  const sim::CostModel cost_model = calib_.model();
-  const sim::MachineParams& mp = cost_model.params();
+  const int this_cycle = balancer_.cycle_index();
+  // Price this cycle with the calibrated constants (they move only when the
+  // cycle closes); while calibration is disabled they equal the static
+  // opt_.machine.
+  const sim::MachineParams& mp = balancer_.calibration().params();
+  CycleTelemetry tel;
 
   // --- 1. parallel flow solver ------------------------------------------------
-  std::vector<Index> solve_epr;
-  const std::size_t solve_phase = trace_.phases().size();
+  tel.solve_phase = trace_.phases().size();
   const std::size_t solve_step_lo = trace_.supersteps().size();
   {
     obs::PhaseScope ph(trace_, "solve");
     solver_->run(opt_.solver_steps_per_cycle);
-    solve_epr = dm_->active_elements_per_rank();
+    tel.rank_elements = dm_->active_elements_per_rank();
+    const Index solve_max = vec_max(tel.rank_elements);
+    tel.solve_work =
+        static_cast<std::int64_t>(opt_.solver_steps_per_cycle) * solve_max;
     ph.set_modeled_seconds(mp.t_iter *
                            static_cast<double>(opt_.solver_steps_per_cycle) *
-                           static_cast<double>(vec_max(solve_epr)));
+                           static_cast<double>(solve_max));
   }
-  const std::size_t solve_step_hi = trace_.supersteps().size();
+  // Per-rank solve seconds, summed from the solve phase's superstep records.
+  auto& rank_solve = tel.rank_solve_seconds;
+  // plum-scale: host-only -- per-rank solve seconds for the calibration log
+  rank_solve.assign(static_cast<std::size_t>(P), 0.0);
+  for (std::size_t s = solve_step_lo; s < trace_.supersteps().size(); ++s) {
+    const auto& secs = trace_.supersteps()[s].rank_seconds;
+    for (std::size_t r = 0; r < secs.size() && r < rank_solve.size(); ++r) {
+      rank_solve[r] += secs[r];
+    }
+  }
 
   // --- 1b. distributed coarsening phase (Fig. 1) -------------------------------
   if (opt_.coarsen_fraction > 0) {
@@ -258,170 +253,45 @@ DistCycleReport DistFramework::cycle() {
   }
   const auto hosted = rt::gather(*eng_, rows, 0);
 
-  const Index nroots = dual_.num_vertices();
-  std::vector<Weight> wcomp_pred(static_cast<std::size_t>(nroots), 0);
-  std::vector<Weight> wremap_pred(static_cast<std::size_t>(nroots), 0);
-  std::vector<Weight> wremap_cur(static_cast<std::size_t>(nroots), 0);
+  RootLoads w;
+  const auto nroots =
+      static_cast<std::size_t>(balancer_.dual().num_vertices());
+  w.wcomp.assign(nroots, 0);
+  w.wremap.assign(nroots, 0);
+  w.wremap_cur.assign(nroots, 0);
   for (const auto& row : hosted) {
     for (const auto& rw : row) {
-      wcomp_pred[static_cast<std::size_t>(rw.groot)] = rw.wcomp_pred;
-      wremap_pred[static_cast<std::size_t>(rw.groot)] = rw.wremap_pred;
-      wremap_cur[static_cast<std::size_t>(rw.groot)] = rw.wremap_cur;
+      const auto g = static_cast<std::size_t>(rw.groot);
+      w.wcomp[g] = rw.wcomp_pred;
+      w.wremap[g] = rw.wremap_pred;
+      w.wremap_cur[g] = rw.wremap_cur;
     }
   }
 
-  // --- 5. host-side balance gate + repartition + reassignment ------------------
-  // Optional calibration feedback: scale each owner's predicted Wcomp by
-  // its measured per-element solve seconds (no-op unless
-  // calibration.blend_measured_weights has observed per-rank data).
-  sim::blend_weights(wcomp_pred, root_part_, calib_.rank_weight_scale());
-  // plum-scale: host-only -- host-side load table for the rebalance decision
-  std::vector<Weight> loads_old(static_cast<std::size_t>(P), 0);
-  for (Index v = 0; v < nroots; ++v) {
-    loads_old[static_cast<std::size_t>(root_part_[v])] +=
-        wcomp_pred[static_cast<std::size_t>(v)];
-  }
-  rep.imbalance_old = imbalance(loads_old);
-  // Predicted weights drive both the repartitioner and the end-of-cycle
-  // quality gauges, so install them unconditionally.
-  dual_.set_weights(wcomp_pred, wremap_pred);
-
-  obs::GateRecord gate_rec;
-  gate_rec.cycle = this_cycle;
-  gate_rec.metric = sim::cost_metric_name(opt_.metric);
-  gate_rec.imbalance_old = rep.imbalance_old;
-
-  std::size_t remap_phase = 0;
-  bool have_remap_phase = false;
-  if (rep.imbalance_old > opt_.imbalance_trigger) {
-    rep.evaluated_repartition = true;
-    obs::PhaseScope gate(trace_, "gate");
-    partition::MultilevelOptions popt;
-    popt.nparts = P;
-    popt.seed = opt_.seed;
-    popt.scratch = mem_.host_scratch();  // serial phase: host row
-    partition::MultilevelResult repart;
-    {
-      obs::PhaseScope ph(trace_, "repartition");
-      repart = partition::repartition(dual_, root_part_, popt);
-      ph.set_modeled_seconds(cost_model.partition_seconds(
-          nroots, static_cast<int>(repart.levels.size()), P));
-    }
-
-    const auto& move_w =
-        opt_.remap_before_subdivision ? wremap_cur : wremap_pred;
-    // Row-wise sparse construction, as each processor would compute and ship
-    // its own similarity row (paper §4.3): the gather moves O(nonzeros)
-    // cells instead of a dense P x (P*F) block, and the dense fold happens
-    // here on the host.
-    // plum-scale: host-only -- host-side gather of sparse similarity rows (one per rank)
-    std::vector<std::vector<remap::SimilarityCell>> srows(
-        static_cast<std::size_t>(P));
-    for (Rank r = 0; r < P; ++r) {
-      srows[static_cast<std::size_t>(r)] = remap::SimilarityMatrix::
-          build_row_sparse(r, root_part_, repart.part, move_w);
-    }
-    const auto S = remap::SimilarityMatrix::from_sparse_rows(srows, P);
-    remap::Assignment assign;
-    {
-      obs::PhaseScope ph(trace_, "reassign");
-      assign = opt_.mapper == MapperKind::kOptimalMwbg
-                   ? remap::map_optimal_mwbg(S)
-               : opt_.mapper == MapperKind::kOptimalBmcm
-                   ? remap::map_optimal_bmcm(S)
-                   : remap::map_heuristic_greedy(S);
-    }
-    rep.volume = remap::evaluate_assignment(S, assign);
-
-    // plum-scale: host-only -- host-side load table for the rebalance decision
-    std::vector<Weight> loads_new(static_cast<std::size_t>(P), 0);
-    partition::PartVec new_part(root_part_.size());
-    for (std::size_t v = 0; v < new_part.size(); ++v) {
-      new_part[v] =
-          assign.part_to_proc[static_cast<std::size_t>(repart.part[v])];
-      loads_new[static_cast<std::size_t>(new_part[v])] += wcomp_pred[v];
-    }
-    rep.imbalance_new = imbalance(loads_new);
-
-    std::vector<Weight> growth(static_cast<std::size_t>(nroots));
-    for (Index v = 0; v < nroots; ++v) {
-      growth[static_cast<std::size_t>(v)] =
-          wremap_pred[static_cast<std::size_t>(v)] -
-          wremap_cur[static_cast<std::size_t>(v)];
-    }
-    // plum-scale: host-only -- host-side load tables for gain accounting
-    std::vector<Weight> ref_old(static_cast<std::size_t>(P), 0),
-        ref_new(static_cast<std::size_t>(P), 0);
-    for (Index v = 0; v < nroots; ++v) {
-      ref_old[static_cast<std::size_t>(root_part_[v])] +=
-          growth[static_cast<std::size_t>(v)];
-      ref_new[static_cast<std::size_t>(new_part[v])] +=
-          growth[static_cast<std::size_t>(v)];
-    }
-    rep.gain_seconds = cost_model.computational_gain(
-        vec_max(loads_old), vec_max(loads_new), vec_max(ref_old),
-        vec_max(ref_new));
-    rep.cost_seconds = cost_model.redistribution_cost(rep.volume, opt_.metric);
-
-    gate_rec.evaluated = true;
-    gate_rec.imbalance_new = rep.imbalance_new;
-    gate_rec.gain_s = rep.gain_seconds;
-    gate_rec.cost_s = rep.cost_seconds;
-    gate_rec.moved_elems = opt_.metric == sim::CostMetric::kTotalV
-                               ? rep.volume.total_elems
-                               : rep.volume.bottleneck_elems;
-    gate_rec.moved_sets = opt_.metric == sim::CostMetric::kTotalV
-                              ? rep.volume.total_sets
-                              : rep.volume.bottleneck_sets;
-    gate_rec.predicted_move_bytes =
-        cost_model.predicted_move_bytes(rep.volume, opt_.metric);
-
-    if (cost_model.accept_remap(rep.gain_seconds, rep.cost_seconds)) {
-      rep.accepted = true;
-      remap_phase = trace_.phases().size();
-      have_remap_phase = true;
-      obs::PhaseScope ph(trace_, "remap");
-      ph.set_modeled_seconds(rep.cost_seconds);
-      // --- 6. migrate subtrees + solution (remap before subdivision) -------
-      states_.clear();
-      for (Rank r = 0; r < P; ++r) states_.push_back(solver_->solution(r));
-      const auto ms = pmesh::migrate(*dm_, *eng_, new_part, &states_, &mem_);
-      rep.elements_migrated = ms.elements_moved;
-      root_part_ = new_part;
-      rebind_solver();
-
-      // Measured data movement: the bytes the migration really packed and
-      // sent through the engine, vs the cost model's prediction.
-      gate_rec.accepted = true;
-      gate_rec.measured_move_bytes = vec_sum(ms.bytes_sent);
-      gate_rec.drift = obs::gate_drift(gate_rec.predicted_move_bytes,
-                                       gate_rec.measured_move_bytes);
-
-      // Re-derive the marks on the new distribution (deterministic: same
-      // states, same threshold => the same global mark set).
-      err = rank_errors(*dm_, *solver_);
-      seeds = threshold_marks(*dm_, err, threshold);
-      pm = pmesh::parallel_mark(*dm_, *eng_, seeds, &mem_);
-    }
-  }
-  trace_.add_gate_record(gate_rec);
-
-  // --- live paper-metric gauges (one sample per series per cycle) -----------
-  double cycle_imbalance = 0;  // also stamped on the plum-scope record
-  {
-    const auto q = partition::evaluate_quality(dual_, root_part_, P);
-    cycle_imbalance = q.imbalance;
-    metrics_.add_sample("imbalance", q.imbalance);
-    metrics_.add_sample_int("edge_cut", q.edge_cut);
-    for (const auto& [name, value] : remap::volume_fields(rep.volume)) {
-      metrics_.add_sample_int(name, value);
-    }
-  }
-  ++cycle_index_;
+  // --- 5-6. host-side balance gate (core/balance); the remap migrates
+  //          subtrees + solution (remap before subdivision) ------------------
+  const auto migrate = [&](const partition::PartVec& owner) -> std::int64_t {
+    states_.clear();
+    for (Rank r = 0; r < P; ++r) states_.push_back(solver_->solution(r));
+    const auto ms = pmesh::migrate(*dm_, *eng_, owner, &states_, &mem_);
+    rep.elements_migrated = ms.elements_moved;
+    rebind_solver();
+    // Re-derive the marks on the new distribution (deterministic: same
+    // states, same threshold => the same global mark set).
+    err = rank_errors(*dm_, *solver_);
+    seeds = threshold_marks(*dm_, err, threshold);
+    pm = pmesh::parallel_mark(*dm_, *eng_, seeds, &mem_);
+    // Measured data movement: the bytes the migration really packed and
+    // sent through the engine.
+    return vec_sum(ms.bytes_sent);
+  };
+  // Also stamped on the plum-scope record.
+  const double cycle_imbalance =
+      balancer_.gate(std::move(w), migrate, rep, trace_, metrics_, mem_);
 
   // --- 7. parallel subdivision ---------------------------------------------------
   // Braced so the phase closes before the end-of-cycle histogram sampling.
-  const std::size_t subdivide_phase = trace_.phases().size();
+  tel.subdivide_phase = trace_.phases().size();
   {
     obs::PhaseScope subdivide(trace_, "subdivide");
     for (Rank r = 0; r < P; ++r) {
@@ -454,79 +324,8 @@ DistCycleReport DistFramework::cycle() {
   rep.elements_after = dm_->total_active_elements();
 
   // --- close the loop: feed this cycle's telemetry to the calibrator --------
-  // Measured wall seconds (always recorded into the replay log): the phase
-  // walls plus the per-rank solve decomposition summed from the solve
-  // phase's superstep records.
-  const double solve_wall_s = trace_.phases()[solve_phase].wall_s;
-  const double remap_wall_s =
-      have_remap_phase ? trace_.phases()[remap_phase].wall_s : 0.0;
-  const double subdivide_wall_s = trace_.phases()[subdivide_phase].wall_s;
-  // plum-scale: host-only -- per-rank solve seconds for the calibration log
-  std::vector<double> rank_solve_wall(static_cast<std::size_t>(P), 0.0);
-  for (std::size_t s = solve_step_lo; s < solve_step_hi; ++s) {
-    const auto& secs = trace_.supersteps()[s].rank_seconds;
-    for (std::size_t r = 0; r < secs.size() && r < rank_solve_wall.size();
-         ++r) {
-      rank_solve_wall[r] += secs[r];
-    }
-  }
-  if (opt_.calibration.enabled) {
-    sim::CalibrationSample cs;
-    cs.cycle = this_cycle;
-    cs.solve_work = static_cast<std::int64_t>(opt_.solver_steps_per_cycle) *
-                    vec_max(solve_epr);
-    cs.refine_children = vec_max(rep.refine_work_per_rank);
-    cs.rank_elements = solve_epr;
-    if (replay_) {
-      if (static_cast<std::size_t>(this_cycle) < replay_book_.cycles.size()) {
-        const sim::ReplayCycle& bc =
-            replay_book_.cycles[static_cast<std::size_t>(this_cycle)];
-        cs.solve_seconds = bc.solve_seconds;
-        cs.remap_seconds = bc.remap_seconds;
-        cs.subdivide_seconds = bc.subdivide_seconds;
-        cs.rank_solve_seconds = bc.rank_solve_seconds;
-      }
-      // Past the end of the book: no timing evidence this cycle; the byte
-      // fit below still runs (it is counter-sourced).
-    } else {
-      cs.solve_seconds = solve_wall_s;
-      cs.remap_seconds = remap_wall_s;
-      cs.subdivide_seconds = subdivide_wall_s;
-      cs.rank_solve_seconds = rank_solve_wall;
-    }
-    if (rep.accepted) {
-      cs.remap_executed = true;
-      cs.moved_elems = gate_rec.moved_elems;
-      cs.moved_sets = gate_rec.moved_sets;
-      cs.predicted_move_bytes = gate_rec.predicted_move_bytes;
-      cs.measured_move_bytes = gate_rec.measured_move_bytes;
-    }
-    calib_.observe(cs);
-    // Under replay the calibration document is a pure function of
-    // deterministic inputs, so it joins the deterministic trace view and
-    // the per-constant gauges; live calibration stays wall-only.
-    trace_.set_calibration(calib_.to_json(), /*deterministic=*/replay_);
-    if (replay_) {
-      const sim::MachineParams& cp = calib_.params();
-      metrics_.add_sample("calib_t_iter", cp.t_iter);
-      metrics_.add_sample("calib_t_refine", cp.t_refine);
-      metrics_.add_sample("calib_t_lat", cp.t_lat);
-      metrics_.add_sample("calib_t_setup", cp.t_setup);
-      metrics_.add_sample("calib_bytes_per_element",
-                          calib_.model().move_bytes_per_element());
-      metrics_.add_sample("calib_bytes_per_set", cp.bytes_per_set);
-      metrics_.add_sample("calib_gate_margin", cp.gate_margin);
-      metrics_.add_sample("calib_mean_abs_drift", calib_.mean_abs_drift());
-    }
-  }
-  {
-    sim::ReplayCycle rc;
-    rc.solve_seconds = solve_wall_s;
-    rc.remap_seconds = remap_wall_s;
-    rc.subdivide_seconds = subdivide_wall_s;
-    rc.rank_solve_seconds = std::move(rank_solve_wall);
-    replay_log_.cycles.push_back(std::move(rc));
-  }
+  tel.refine_children = vec_max(rep.refine_work_per_rank);
+  balancer_.close_cycle(tel, trace_, metrics_);
 
   // Per-cycle fixed-bound histograms (obs/critical_path.hpp): per-rank
   // step wall seconds + counter-sourced wait fractions for every superstep

@@ -8,8 +8,10 @@
 //   -> parallel edge marking with cross-partition propagation
 //   -> per-rank predicted weights gathered to the host
 //   -> host: repartition the initial-mesh dual + processor reassignment
-//      + gain/cost gate (§4.2-4.6)
-//   -> accepted: migrate subtrees + solution (remap before subdivision)
+//      + gain/cost gate (§4.2-4.6) — core/balance, the same policy and
+//      calibration loop core::Framework runs
+//   -> accepted: migrate subtrees + solution (remap before subdivision),
+//      the gate's remap callback
 //   -> parallel refinement with SPL repair
 //
 // Complements core::Framework (the single-address-space driver used by the
@@ -25,17 +27,10 @@
 
 namespace plum::core {
 
-struct DistCycleReport {
+struct DistCycleReport : GateReport {
   Index elements_before = 0;
   Index elements_after = 0;
   int mark_comm_rounds = 0;
-  bool evaluated_repartition = false;
-  bool accepted = false;
-  double imbalance_old = 0;
-  double imbalance_new = 0;
-  double gain_seconds = 0;
-  double cost_seconds = 0;
-  remap::RemapVolume volume;
   std::int64_t elements_migrated = 0;
   /// Subdivision work per rank (children created) — balanced when the
   /// remap-before-subdivision path accepted.
@@ -59,7 +54,7 @@ class DistFramework {
   [[nodiscard]] rt::Engine& engine() { return *eng_; }
   [[nodiscard]] pmesh::ParallelEulerSolver& solver() { return *solver_; }
   [[nodiscard]] const partition::PartVec& root_partition() const {
-    return root_part_;
+    return balancer_.root_part();
   }
   /// Per-rank active element counts (the solver load balance achieved).
   [[nodiscard]] std::vector<Index> elements_per_rank() const {
@@ -102,13 +97,15 @@ class DistFramework {
   [[nodiscard]] const obs::MemoryTracker& memory() const { return mem_; }
 
   /// The online calibrator (sim/calibration.hpp); see core::Framework.
-  [[nodiscard]] const sim::Calibration& calibration() const { return calib_; }
+  [[nodiscard]] const sim::Calibration& calibration() const {
+    return balancer_.calibration();
+  }
 
   /// Timing book recorded by this run (one entry per cycle, with the
   /// per-rank solve decomposition); feed it back through
   /// FrameworkOptions::replay_path for deterministic replay.
   [[nodiscard]] const sim::ReplayBook& replay_log() const {
-    return replay_log_;
+    return balancer_.replay_log();
   }
 
  private:
@@ -122,19 +119,15 @@ class DistFramework {
   obs::TraceRecorder trace_;
   obs::FlightRecorder scope_;
   obs::MemoryTracker mem_;  ///< rank rows written inside supersteps
+  /// Host side: dual of the initial global mesh, global initial element ->
+  /// rank, calibration.
+  Balancer balancer_;
   std::unique_ptr<rt::Engine> eng_;
   std::unique_ptr<obs::ScopeStreamWriter> stream_;  ///< opt_.scope_stream
   std::unique_ptr<pmesh::DistMesh> dm_;
   std::unique_ptr<pmesh::ParallelEulerSolver> solver_;
   std::vector<std::vector<solver::State>> states_;
-  graph::Csr dual_;  ///< dual of the initial global mesh (host side)
-  partition::PartVec root_part_;  ///< global initial element -> rank
   obs::MetricsRegistry metrics_;
-  sim::Calibration calib_;
-  sim::ReplayBook replay_book_;  ///< loaded from opt_.replay_path
-  bool replay_ = false;
-  sim::ReplayBook replay_log_;   ///< measured book recorded this run
-  int cycle_index_ = 0;  ///< cycles completed; keys the gate-audit records
   // First trace_ superstep/phase not yet sampled into the per-cycle
   // histograms (obs::record_step_histograms / record_phase_histograms).
   std::size_t hist_step_cursor_ = 0;

@@ -3,8 +3,11 @@
 // remapping weights Wremap of all dual-graph vertices in *new partition j*
 // that currently reside on *processor i*. In the parallel system each
 // processor computes its own row and a host gathers them (one P×F-integer
-// row per processor — "a minuscule amount of time"); we expose the same
-// row-wise construction so the runtime benches can charge that traffic.
+// row per processor — "a minuscule amount of time"). The frameworks hold
+// every root's owner and weight host-side already, so they build S in one
+// O(N) pass (build); the sparse row form (build_row_sparse +
+// from_sparse_rows) is that per-processor row and gives the same matrix.
+// Nothing charges the gather's traffic to the engine ledger.
 
 #include <span>
 #include <vector>
@@ -39,22 +42,12 @@ class SimilarityMatrix {
                                 std::span<const Weight> wremap, Rank nprocs,
                                 Rank nparts);
 
-  /// One row as the owning processor would compute it locally.
-  static std::vector<Weight> build_row(Rank proc,
-                                       std::span<const Rank> current_proc,
-                                       std::span<const Rank> new_part,
-                                       std::span<const Weight> wremap,
-                                       Rank nparts);
-
   /// One row in sparse form: only the partitions this processor actually
   /// sends weight to, sorted by partition id. This is what a rank ships
   /// to the host gather.
   static std::vector<SimilarityCell> build_row_sparse(
       Rank proc, std::span<const Rank> current_proc,
       std::span<const Rank> new_part, std::span<const Weight> wremap);
-
-  /// Assembles the full matrix from gathered rows.
-  static SimilarityMatrix from_rows(const std::vector<std::vector<Weight>>& rows);
 
   /// Assembles from gathered sparse rows (rows[i] is processor i's row).
   /// The dense fold happens here, host-side, after the gather.

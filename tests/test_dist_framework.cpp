@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -303,6 +304,58 @@ TEST(DistFramework, CoarseningPhaseRuns) {
   for (Rank r = 0; r < opt.nranks; ++r) {
     for (const auto& s : fw.solver().solution(r)) EXPECT_GT(s[0], 0.0);
   }
+}
+
+// The shared balance gate prices MaxV with the machine's alpha/beta, in the
+// mapper and in the reported volume alike.
+TEST(DistFramework, MaxVVolumeIsWeightedByMachineAlpha) {
+  FrameworkOptions opt;
+  opt.nranks = 4;
+  opt.refine_fraction = 0.08;
+  opt.imbalance_trigger = 0.0;  // force the evaluation
+  opt.solver_steps_per_cycle = 3;
+  opt.mapper = MapperKind::kOptimalBmcm;
+  opt.metric = sim::CostMetric::kMaxV;
+  opt.machine.alpha = 2.0;
+  auto fw = make_dist(opt, 5);
+  const auto rep = fw.cycle();
+  ASSERT_TRUE(rep.evaluated_repartition);
+  ASSERT_GT(rep.volume.max_sent, 0);
+  // maxv_cost = max_i max(alpha * sent_i, beta * recv_i).
+  EXPECT_DOUBLE_EQ(
+      rep.volume.maxv_cost,
+      std::max(2.0 * static_cast<double>(rep.volume.max_sent),
+               static_cast<double>(rep.volume.max_recv)));
+  fw.dist_mesh().validate();
+}
+
+// F = 2: the gate repartitions into 2P parts from scratch (the warm start
+// needs one part per processor), reassigns them, and the migration lands
+// on a consistent distribution.
+TEST(DistFramework, PartitionsPerProcRepartitionsFromScratch) {
+  FrameworkOptions opt;
+  opt.nranks = 4;
+  opt.refine_fraction = 0.08;
+  opt.imbalance_trigger = 0.0;  // force the evaluation
+  opt.solver_steps_per_cycle = 3;
+  {
+    // Precondition: with F = 1 this workload keeps the warm start.
+    auto fw = make_dist(opt, 5);
+    ASSERT_TRUE(fw.cycle().used_previous_partition);
+  }
+  opt.partitions_per_proc = 2;
+  auto fw = make_dist(opt, 5);
+  const auto rep = fw.cycle();
+  ASSERT_TRUE(rep.evaluated_repartition);
+  EXPECT_FALSE(rep.used_previous_partition);
+  ASSERT_TRUE(rep.accepted);
+  EXPECT_GT(rep.elements_migrated, 0);
+  for (const Rank owner : fw.root_partition()) {
+    EXPECT_GE(owner, 0);
+    EXPECT_LT(owner, opt.nranks);
+  }
+  fw.dist_mesh().validate();
+  fw.solver().validate_replication();
 }
 
 }  // namespace

@@ -158,6 +158,8 @@ TEST(Similarity, BuildFromVertexData) {
 }
 
 TEST(Similarity, RowwiseBuildMatchesDense) {
+  // F = 1: the per-processor rows each rank computes locally assemble to
+  // the dense build.
   Rng rng(3);
   std::vector<Rank> cur, npart;
   std::vector<Weight> w;
@@ -167,11 +169,11 @@ TEST(Similarity, RowwiseBuildMatchesDense) {
     w.push_back(static_cast<Weight>(rng.below(10) + 1));
   }
   const auto dense = SimilarityMatrix::build(cur, npart, w, 4, 4);
-  std::vector<std::vector<Weight>> rows;
+  std::vector<std::vector<SimilarityCell>> rows;
   for (Rank p = 0; p < 4; ++p) {
-    rows.push_back(SimilarityMatrix::build_row(p, cur, npart, w, 4));
+    rows.push_back(SimilarityMatrix::build_row_sparse(p, cur, npart, w));
   }
-  const auto assembled = SimilarityMatrix::from_rows(rows);
+  const auto assembled = SimilarityMatrix::from_sparse_rows(rows, 4);
   for (Rank i = 0; i < 4; ++i) {
     for (Rank j = 0; j < 4; ++j) EXPECT_EQ(dense.at(i, j), assembled.at(i, j));
   }
