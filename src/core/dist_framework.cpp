@@ -87,10 +87,18 @@ void DistFramework::rebind_solver() {
   if (!states_.empty()) {
     for (Rank r = 0; r < opt_.nranks; ++r) {
       auto& dst = solver_->solution(r);
-      const auto& src = states_[static_cast<std::size_t>(r)];
+      auto& src = states_[static_cast<std::size_t>(r)];
       PLUM_ASSERT(dst.size() == src.size());
-      dst = src;
+      dst = std::move(src);
     }
+    states_.clear();
+  }
+}
+
+void DistFramework::save_states() {
+  states_.clear();
+  for (Rank r = 0; r < opt_.nranks; ++r) {
+    states_.push_back(std::move(solver_->solution(r)));
   }
 }
 
@@ -171,8 +179,7 @@ DistCycleReport DistFramework::cycle() {
           }
         }
       }
-      states_.clear();
-      for (Rank r = 0; r < P; ++r) states_.push_back(solver_->solution(r));
+      save_states();
       pmesh::parallel_coarsen(*dm_, *eng_, cmarks, &states_);
       rebind_solver();
     }
@@ -271,8 +278,7 @@ DistCycleReport DistFramework::cycle() {
   // --- 5-6. host-side balance gate (core/balance); the remap migrates
   //          subtrees + solution (remap before subdivision) ------------------
   const auto migrate = [&](const partition::PartVec& owner) -> std::int64_t {
-    states_.clear();
-    for (Rank r = 0; r < P; ++r) states_.push_back(solver_->solution(r));
+    save_states();
     const auto ms = pmesh::migrate(*dm_, *eng_, owner, &states_, &mem_);
     rep.elements_migrated = ms.elements_moved;
     rebind_solver();
@@ -294,6 +300,8 @@ DistCycleReport DistFramework::cycle() {
   tel.subdivide_phase = trace_.phases().size();
   {
     obs::PhaseScope subdivide(trace_, "subdivide");
+    // The hooks fire on the worker that subdivides rank r, so each touches
+    // only rank r's solution and mesh.
     for (Rank r = 0; r < P; ++r) {
       auto& lm = dm_->local(r);
       lm.mesh.on_bisect = [this, r](Index e, Index mid) {
@@ -317,8 +325,7 @@ DistCycleReport DistFramework::cycle() {
   }
 
   // Rebind with the grown solution arrays.
-  states_.clear();
-  for (Rank r = 0; r < P; ++r) states_.push_back(solver_->solution(r));
+  save_states();
   rebind_solver();
 
   rep.elements_after = dm_->total_active_elements();

@@ -109,8 +109,11 @@ class DistFramework {
   }
 
  private:
-  /// Rebinds the parallel solver to the current distribution, keeping the
-  /// per-rank states in `states_`.
+  /// Moves the solver's per-rank states into `states_` (the solver is
+  /// stale until the next rebind_solver()).
+  void save_states();
+  /// Rebinds the parallel solver to the current distribution, moving the
+  /// per-rank states saved in `states_` (if any) into it.
   void rebind_solver();
 
   FrameworkOptions opt_;

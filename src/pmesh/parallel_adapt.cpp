@@ -117,7 +117,7 @@ ParallelMarkResult parallel_mark(
         obs::TrackedVec<MarkMsg>{obs::TrackingAllocator<MarkMsg>{ms}},
         obs::TrackingAllocator<obs::TrackedVec<MarkMsg>>{ms});
     auto& my_sent = sent[static_cast<std::size_t>(r)];
-    bool sent_any = false;
+    std::int64_t notes = 0;
     for (Index e : result.marked_edges) {
       if (my_sent[static_cast<std::size_t>(e)]) continue;
       my_sent[static_cast<std::size_t>(e)] = 1;
@@ -126,10 +126,11 @@ ParallelMarkResult parallel_mark(
       for (const auto& copy : it->second) {
         outgoing[static_cast<std::size_t>(copy.rank)].push_back(
             {copy.remote_id});
-        ++exchanged[static_cast<std::size_t>(r)];
-        sent_any = true;
+        ++notes;
       }
     }
+    exchanged[static_cast<std::size_t>(r)] += notes;
+    const bool sent_any = notes > 0;
     for (Rank q = 0; q < P; ++q) {
       if (!outgoing[static_cast<std::size_t>(q)].empty()) {
         outbox.send_vec(q, kTagMark, outgoing[static_cast<std::size_t>(q)]);
@@ -164,27 +165,13 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
   // plum-scale: dist(P) -- driver output: per-rank work accounting
   out.work_per_rank.assign(static_cast<std::size_t>(P), 0);
 
-  // plum-scale: host-only -- driver snapshot of pre-adaptation sizes for the report
+  // Pre-subdivision snapshots, taken by each rank in phase 1, step 0.
+  // plum-scale: dist(P) -- per-rank snapshot of pre-adaptation edge counts
   std::vector<Index> old_ne(static_cast<std::size_t>(P));
   // Iterated below to build BisectMsg batches: must stay an ordered map so
   // the message payload order matches the sequential engine bit for bit.
-  // plum-scale: host-only -- driver snapshot of edge-split maps for the report
+  // plum-scale: dist(P) -- per-rank snapshot of the pre-adaptation edge SPLs
   std::vector<SplMap> old_edge_spl(static_cast<std::size_t>(P));
-
-  // --- local subdivision ----------------------------------------------------
-  for (Rank r = 0; r < P; ++r) {
-    LocalMesh& lm = dm.local(r);
-    old_ne[static_cast<std::size_t>(r)] = lm.mesh.num_edges();
-    old_edge_spl[static_cast<std::size_t>(r)] = lm.shared_edges;
-    auto& stats = out.per_rank[static_cast<std::size_t>(r)];
-    // Serial host loop, but rank-attributed: rank r's subdivision snapshot
-    // stages through rank r's scratch row (no superstep is open here, so
-    // the host may write any row without racing a claiming worker).
-    stats = adapt::refine_mesh(
-        lm.mesh, marks.per_rank[static_cast<std::size_t>(r)],
-        mem != nullptr ? mem->scratch(r) : obs::MemScratch{});
-    out.work_per_rank[static_cast<std::size_t>(r)] = stats.work_units();
-  }
 
   // Per-rank tallies of new shared-object records (summed after the runs;
   // a shared counter would race under the parallel engine).
@@ -193,14 +180,23 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
   // plum-scale: host-only -- driver accounting of created entities for the report
   std::vector<std::int64_t> new_verts(static_cast<std::size_t>(P), 0);
 
-  // --- post-processing phase 1: bisected shared edges ------------------------
+  // --- local subdivision + post-processing phase 1: bisected shared edges ---
   eng.run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& outbox) {
     LocalMesh& lm = dm.local(r);
 
     if (outbox.step() == 0) {
-      outbox.charge(out.work_per_rank[static_cast<std::size_t>(r)]);
+      // Local subdivision on rank r's worker. on_bisect hooks fire here, so
+      // they must touch only rank r's state; the subdivision snapshot
+      // stages through rank r's scratch row.
       const obs::MemScratch ms =
           mem != nullptr ? mem->scratch(r) : obs::MemScratch{};
+      old_ne[static_cast<std::size_t>(r)] = lm.mesh.num_edges();
+      old_edge_spl[static_cast<std::size_t>(r)] = lm.shared_edges;
+      auto& stats = out.per_rank[static_cast<std::size_t>(r)];
+      stats = adapt::refine_mesh(
+          lm.mesh, marks.per_rank[static_cast<std::size_t>(r)], ms);
+      out.work_per_rank[static_cast<std::size_t>(r)] = stats.work_units();
+      outbox.charge(out.work_per_rank[static_cast<std::size_t>(r)]);
       // plum-scale: scratch -- per-destination bisect staging, arena-backed
       obs::TrackedVec<obs::TrackedVec<BisectMsg>> outgoing(
           static_cast<std::size_t>(P),
@@ -229,6 +225,7 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
       return true;  // one more step to receive
     }
 
+    std::int64_t bisected = 0;
     for (const auto* m : inbox.with_tag(kTagBisect)) {
       for (const auto& msg : rt::unpack<BisectMsg>(*m)) {
         const auto& ed = lm.mesh.edge(msg.your_edge);
@@ -243,10 +240,11 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
         add_shared(lm.shared_edges, my_c1, m->from,
                    aligned ? msg.my_child1 : msg.my_child0);
         add_shared(lm.shared_verts, ed.mid, m->from, msg.my_mid);
-        new_edges[static_cast<std::size_t>(r)] += 2;
-        ++new_verts[static_cast<std::size_t>(r)];
+        ++bisected;
       }
     }
+    new_edges[static_cast<std::size_t>(r)] += 2 * bisected;
+    new_verts[static_cast<std::size_t>(r)] += bisected;
     return false;
   });
 
@@ -290,14 +288,16 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
       return true;
     }
 
+    std::int64_t matched = 0;
     for (const auto* m : inbox.with_tag(kTagFaceEdge)) {
       for (const auto& msg : rt::unpack<FaceEdgeMsg>(*m)) {
         const Index mine = lm.mesh.find_edge(msg.your_v0, msg.your_v1);
         if (mine == kInvalidIndex) continue;  // not shared with the sender
         add_shared(lm.shared_edges, mine, m->from, msg.my_edge);
-        ++new_edges[static_cast<std::size_t>(r)];
+        ++matched;
       }
     }
+    new_edges[static_cast<std::size_t>(r)] += matched;
     return false;
   });
 

@@ -51,56 +51,54 @@ ParallelEulerSolver::ParallelEulerSolver(DistMesh* dm, rt::Engine* eng,
   // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
   metrics_.resize(static_cast<std::size_t>(P));
   // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
+  active_.resize(static_cast<std::size_t>(P));
+  // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
   edge_owned_.resize(static_cast<std::size_t>(P));
   // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
   vert_owned_.resize(static_cast<std::size_t>(P));
   // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
   u_.resize(static_cast<std::size_t>(P));
-
-  for (Rank r = 0; r < P; ++r) {
-    const auto& lm = dm_->local(r);
-    metrics_[static_cast<std::size_t>(r)] =
-        solver::build_dual_metrics(lm.mesh);
-    u_[static_cast<std::size_t>(r)].assign(
-        static_cast<std::size_t>(lm.mesh.num_vertices()),
-        State{1.0, 0.0, 0.0, 0.0, 1.0 / (opt_.gamma - 1.0)});
-
-    auto& eo = edge_owned_[static_cast<std::size_t>(r)];
-    eo.assign(static_cast<std::size_t>(lm.mesh.num_edges()), 1);
-    for (const auto& [e, spl] : lm.shared_edges) {
-      eo[static_cast<std::size_t>(e)] = (min_rank(r, spl) == r);
-    }
-    auto& vo = vert_owned_[static_cast<std::size_t>(r)];
-    vo.assign(static_cast<std::size_t>(lm.mesh.num_vertices()), 1);
-    for (const auto& [v, spl] : lm.shared_verts) {
-      vo[static_cast<std::size_t>(v)] = (min_rank(r, spl) == r);
-    }
-  }
+  // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
+  u1_.resize(static_cast<std::size_t>(P));
+  // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
+  res_.resize(static_cast<std::size_t>(P));
   exchange_setup();
 }
 
 void ParallelEulerSolver::exchange_setup() {
   const Rank P = dm_->nranks();
 
-  // Slot lookup: local edge id -> metrics slot, per rank.
+  // Slot lookup: local edge id -> metrics slot; rank r fills row r.
   // plum-scale: dist(P) -- per-destination slot maps used to stage the halo exchange
   std::vector<std::vector<Index>> slot(static_cast<std::size_t>(P));
-  for (Rank r = 0; r < P; ++r) {
-    const auto& m = metrics_[static_cast<std::size_t>(r)];
-    slot[static_cast<std::size_t>(r)].assign(
-        static_cast<std::size_t>(dm_->local(r).mesh.num_edges()),
-        kInvalidIndex);
-    for (std::size_t k = 0; k < m.edges.size(); ++k) {
-      slot[static_cast<std::size_t>(r)][static_cast<std::size_t>(m.edges[k])] =
-          static_cast<Index>(k);
-    }
-  }
 
   eng_->run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& out) {
     const auto& lm = dm_->local(r);
     auto& m = metrics_[static_cast<std::size_t>(r)];
+    auto& my_slot = slot[static_cast<std::size_t>(r)];
 
     if (out.step() == 0) {
+      // Rank r's local metrics, initial state and ownership flags.
+      m = solver::build_dual_metrics(lm.mesh);
+      u_[static_cast<std::size_t>(r)].assign(
+          static_cast<std::size_t>(lm.mesh.num_vertices()),
+          State{1.0, 0.0, 0.0, 0.0, 1.0 / (opt_.gamma - 1.0)});
+      auto& eo = edge_owned_[static_cast<std::size_t>(r)];
+      eo.assign(static_cast<std::size_t>(lm.mesh.num_edges()), 1);
+      for (const auto& [e, spl] : lm.shared_edges) {
+        eo[static_cast<std::size_t>(e)] = (min_rank(r, spl) == r);
+      }
+      auto& vo = vert_owned_[static_cast<std::size_t>(r)];
+      vo.assign(static_cast<std::size_t>(lm.mesh.num_vertices()), 1);
+      for (const auto& [v, spl] : lm.shared_verts) {
+        vo[static_cast<std::size_t>(v)] = (min_rank(r, spl) == r);
+      }
+      my_slot.assign(static_cast<std::size_t>(lm.mesh.num_edges()),
+                     kInvalidIndex);
+      for (std::size_t k = 0; k < m.edges.size(); ++k) {
+        my_slot[static_cast<std::size_t>(m.edges[k])] = static_cast<Index>(k);
+      }
+
       // Send partial vertex quantities and partial edge areas to copies.
       // plum-scale: dist(P) -- per-destination staging buckets for vertex scalars
       std::vector<std::vector<VertScalarMsg>> vout(static_cast<std::size_t>(P));
@@ -115,7 +113,7 @@ void ParallelEulerSolver::exchange_setup() {
       // plum-scale: dist(P) -- per-destination staging buckets for edge areas
       std::vector<std::vector<EdgeAreaMsg>> eout(static_cast<std::size_t>(P));
       for (const auto& [e, spl] : lm.shared_edges) {
-        const Index s = slot[static_cast<std::size_t>(r)][static_cast<std::size_t>(e)];
+        const Index s = my_slot[static_cast<std::size_t>(e)];
         if (s == kInvalidIndex) continue;  // not active locally
         const Index v0 = lm.mesh.edge(e).v0;
         for (const auto& c : spl) {
@@ -155,16 +153,16 @@ void ParallelEulerSolver::exchange_setup() {
     }
     for (const auto* msg : inbox.with_tag(kTagMetric + 100)) {
       for (const auto& rec : rt::unpack<EdgeAreaMsg>(*msg)) {
-        const Index s =
-            slot[static_cast<std::size_t>(r)][static_cast<std::size_t>(rec.local_id)];
+        const Index s = my_slot[static_cast<std::size_t>(rec.local_id)];
         PLUM_ASSERT_MSG(s != kInvalidIndex,
                         "peer active edge inactive locally");
-        const bool aligned =
-            dm_->local(r).mesh.edge(rec.local_id).v0 == rec.your_v0;
+        const bool aligned = lm.mesh.edge(rec.local_id).v0 == rec.your_v0;
         m.edge_area[static_cast<std::size_t>(s)] +=
             aligned ? rec.area : rec.area * -1.0;
       }
     }
+    // Volumes are global now: the active set is final for this binding.
+    active_[static_cast<std::size_t>(r)] = m.active_vertices();
     return false;
   });
 }
@@ -182,20 +180,78 @@ double ParallelEulerSolver::max_wave_speed(const State& s) const {
   return vel + std::sqrt(opt_.gamma * p / rho);
 }
 
-void ParallelEulerSolver::exchange_residuals(
-    std::vector<std::vector<State>>& res) {
+double ParallelEulerSolver::local_dt(Rank r) const {
+  const auto& m = metrics_[static_cast<std::size_t>(r)];
+  const auto& u = u_[static_cast<std::size_t>(r)];
+  double dt = std::numeric_limits<double>::max();
+  for (Index v : active_[static_cast<std::size_t>(r)]) {
+    const double h = m.min_edge_length[static_cast<std::size_t>(v)];
+    const double c = max_wave_speed(u[static_cast<std::size_t>(v)]);
+    dt = std::min(dt, opt_.cfl * h / std::max(c, 1e-12));
+  }
+  return dt;
+}
+
+std::int64_t ParallelEulerSolver::edge_fluxes(Rank r,
+                                              const std::vector<State>& u,
+                                              std::vector<State>& res) const {
+  const auto& lm = dm_->local(r);
+  const auto& m = metrics_[static_cast<std::size_t>(r)];
+  const auto& owned = edge_owned_[static_cast<std::size_t>(r)];
+  res.assign(u.size(), State{});
+  std::int64_t evals = 0;
+  for (std::size_t k = 0; k < m.edges.size(); ++k) {
+    const Index e = m.edges[k];
+    if (!owned[static_cast<std::size_t>(e)]) continue;  // a peer computes it
+    const Index a = lm.mesh.edge(e).v0;
+    const Index b = lm.mesh.edge(e).v1;
+    const Vec3 n = m.edge_area[k];
+    const double area = norm(n);
+    if (area <= 0) continue;
+    const State& ua = u[static_cast<std::size_t>(a)];
+    const State& ub = u[static_cast<std::size_t>(b)];
+    const double pa = pressure(ua), pb = pressure(ub);
+    const Vec3 va{ua[1] / ua[0], ua[2] / ua[0], ua[3] / ua[0]};
+    const Vec3 vb{ub[1] / ub[0], ub[2] / ub[0], ub[3] / ub[0]};
+    const double vna = dot(va, n), vnb = dot(vb, n);
+    const State fa{ua[0] * vna, ua[1] * vna + pa * n.x,
+                   ua[2] * vna + pa * n.y, ua[3] * vna + pa * n.z,
+                   (ua[4] + pa) * vna};
+    const State fb{ub[0] * vnb, ub[1] * vnb + pb * n.x,
+                   ub[2] * vnb + pb * n.y, ub[3] * vnb + pb * n.z,
+                   (ub[4] + pb) * vnb};
+    const double lam = std::max(max_wave_speed(ua), max_wave_speed(ub)) * area;
+    for (int c = 0; c < solver::kNumVars; ++c) {
+      const double f = 0.5 * (fa[c] + fb[c]) - 0.5 * lam * (ub[c] - ua[c]);
+      res[static_cast<std::size_t>(a)][c] -= f;
+      res[static_cast<std::size_t>(b)][c] += f;
+    }
+    ++evals;
+  }
+  return evals;
+}
+
+void ParallelEulerSolver::rk_stage(bool first, double dt,
+                                   std::vector<std::int64_t>& flux_evals) {
   const Rank P = dm_->nranks();
   eng_->run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& out) {
     const auto& lm = dm_->local(r);
+    const auto& m = metrics_[static_cast<std::size_t>(r)];
+    auto& res = res_[static_cast<std::size_t>(r)];
+    // The stage's input state: u, then u1.
+    const auto& u = first ? u_[static_cast<std::size_t>(r)]
+                          : u1_[static_cast<std::size_t>(r)];
+
     if (out.step() == 0) {
+      flux_evals[static_cast<std::size_t>(r)] += edge_fluxes(r, u, res);
+      // Send the partial residuals of shared vertices to their copies.
       // plum-scale: dist(P) -- per-destination staging buckets for residual messages
       std::vector<std::vector<ResidualMsg>> outgoing(
           static_cast<std::size_t>(P));
       for (const auto& [v, spl] : lm.shared_verts) {
         for (const auto& c : spl) {
           outgoing[static_cast<std::size_t>(c.rank)].push_back(
-              {c.remote_id,
-               res[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)]});
+              {c.remote_id, res[static_cast<std::size_t>(v)]});
         }
       }
       for (Rank q = 0; q < P; ++q) {
@@ -205,12 +261,44 @@ void ParallelEulerSolver::exchange_residuals(
       }
       return true;
     }
-    // Deterministic accumulation: sort contributions by (sender, id).
+
+    // Deterministic accumulation: contributions arrive in sender order.
     for (const auto* msg : inbox.with_tag(kTagResidual)) {
       for (const auto& rec : rt::unpack<ResidualMsg>(*msg)) {
-        auto& acc =
-            res[static_cast<std::size_t>(r)][static_cast<std::size_t>(rec.local_id)];
+        auto& acc = res[static_cast<std::size_t>(rec.local_id)];
         for (int c = 0; c < solver::kNumVars; ++c) acc[c] += rec.partial[c];
+      }
+    }
+    // Boundary closure after the exchange: every copy adds the same full
+    // term locally, so it is counted once in each copy's (identical) total.
+    for (std::size_t v = 0; v < res.size(); ++v) {
+      const Vec3 nb = m.boundary_area[v];
+      if (nb.x == 0 && nb.y == 0 && nb.z == 0) continue;
+      const double p = pressure(u[v]);
+      res[v][1] -= p * nb.x;
+      res[v][2] -= p * nb.y;
+      res[v][3] -= p * nb.z;
+    }
+    // RK2 stage update of the active vertices.
+    const auto& active = active_[static_cast<std::size_t>(r)];
+    if (first) {
+      auto& u1 = u1_[static_cast<std::size_t>(r)];
+      u1 = u;
+      for (Index v : active) {
+        const double inv_vol = 1.0 / m.cell_volume[static_cast<std::size_t>(v)];
+        for (int c = 0; c < solver::kNumVars; ++c) {
+          u1[static_cast<std::size_t>(v)][c] +=
+              0.5 * dt * res[static_cast<std::size_t>(v)][c] * inv_vol;
+        }
+      }
+    } else {
+      auto& un = u_[static_cast<std::size_t>(r)];
+      for (Index v : active) {
+        const double inv_vol = 1.0 / m.cell_volume[static_cast<std::size_t>(v)];
+        for (int c = 0; c < solver::kNumVars; ++c) {
+          un[static_cast<std::size_t>(v)][c] +=
+              dt * res[static_cast<std::size_t>(v)][c] * inv_vol;
+        }
       }
     }
     return false;
@@ -218,121 +306,16 @@ void ParallelEulerSolver::exchange_residuals(
 }
 
 ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
-  const Rank P = dm_->nranks();
   StepInfo info;
   // plum-scale: host-only -- per-rank flux-eval counters for the step report
-  info.edge_flux_evals.assign(static_cast<std::size_t>(P), 0);
-
-  // --- global CFL dt ---------------------------------------------------------
-  // plum-scale: host-only -- per-rank dt candidates reduced host-side to the global dt
-  std::vector<double> local_dt(static_cast<std::size_t>(P),
-                               std::numeric_limits<double>::max());
-  for (Rank r = 0; r < P; ++r) {
-    const auto& m = metrics_[static_cast<std::size_t>(r)];
-    for (Index v : m.active_vertices()) {
-      const double h = m.min_edge_length[static_cast<std::size_t>(v)];
-      const double c =
-          max_wave_speed(u_[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)]);
-      local_dt[static_cast<std::size_t>(r)] =
-          std::min(local_dt[static_cast<std::size_t>(r)],
-                   opt_.cfl * h / std::max(c, 1e-12));
-    }
-  }
-  const double dt = rt::allreduce(
-      *eng_, local_dt, [](double a, double b) { return std::min(a, b); },
+  info.edge_flux_evals.assign(static_cast<std::size_t>(dm_->nranks()), 0);
+  // Global CFL dt: each rank scans its own vertices inside the reduction.
+  info.dt = rt::allreduce(
+      *eng_, [this](Rank r) { return local_dt(r); },
+      [](double a, double b) { return std::min(a, b); },
       std::numeric_limits<double>::max());
-  info.dt = dt;
-
-  auto compute_residual = [&](const std::vector<std::vector<State>>& u,
-                              std::vector<std::vector<State>>& res) {
-    for (Rank r = 0; r < P; ++r) {
-      const auto& lm = dm_->local(r);
-      const auto& m = metrics_[static_cast<std::size_t>(r)];
-      auto& rr = res[static_cast<std::size_t>(r)];
-      rr.assign(u[static_cast<std::size_t>(r)].size(), State{});
-      const auto& uu = u[static_cast<std::size_t>(r)];
-
-      for (std::size_t k = 0; k < m.edges.size(); ++k) {
-        const Index e = m.edges[k];
-        if (!edge_owned_[static_cast<std::size_t>(r)][static_cast<std::size_t>(e)]) {
-          continue;  // a peer computes this flux
-        }
-        const Index a = lm.mesh.edge(e).v0;
-        const Index b = lm.mesh.edge(e).v1;
-        const Vec3 n = m.edge_area[static_cast<std::size_t>(k)];
-        const double area = norm(n);
-        if (area <= 0) continue;
-        const State& ua = uu[static_cast<std::size_t>(a)];
-        const State& ub = uu[static_cast<std::size_t>(b)];
-        const double pa = pressure(ua), pb = pressure(ub);
-        const Vec3 va{ua[1] / ua[0], ua[2] / ua[0], ua[3] / ua[0]};
-        const Vec3 vb{ub[1] / ub[0], ub[2] / ub[0], ub[3] / ub[0]};
-        const double vna = dot(va, n), vnb = dot(vb, n);
-        const State fa{ua[0] * vna, ua[1] * vna + pa * n.x,
-                       ua[2] * vna + pa * n.y, ua[3] * vna + pa * n.z,
-                       (ua[4] + pa) * vna};
-        const State fb{ub[0] * vnb, ub[1] * vnb + pb * n.x,
-                       ub[2] * vnb + pb * n.y, ub[3] * vnb + pb * n.z,
-                       (ub[4] + pb) * vnb};
-        const double lam =
-            std::max(max_wave_speed(ua), max_wave_speed(ub)) * area;
-        for (int c = 0; c < solver::kNumVars; ++c) {
-          const double f = 0.5 * (fa[c] + fb[c]) - 0.5 * lam * (ub[c] - ua[c]);
-          rr[static_cast<std::size_t>(a)][c] -= f;
-          rr[static_cast<std::size_t>(b)][c] += f;
-        }
-        ++info.edge_flux_evals[static_cast<std::size_t>(r)];
-      }
-    }
-    // Sum partial residuals of shared vertices across copies.
-    exchange_residuals(res);
-    // Boundary closure after the exchange: every copy adds the same full
-    // term locally, so it is counted once in each copy's (identical) total.
-    for (Rank r = 0; r < P; ++r) {
-      const auto& m = metrics_[static_cast<std::size_t>(r)];
-      auto& rr = res[static_cast<std::size_t>(r)];
-      const auto& uu = u[static_cast<std::size_t>(r)];
-      for (std::size_t v = 0; v < rr.size(); ++v) {
-        const Vec3 nb = m.boundary_area[v];
-        if (nb.x == 0 && nb.y == 0 && nb.z == 0) continue;
-        const double p = pressure(uu[v]);
-        rr[v][1] -= p * nb.x;
-        rr[v][2] -= p * nb.y;
-        rr[v][3] -= p * nb.z;
-      }
-    }
-  };
-
-  // --- RK2 --------------------------------------------------------------------
-  // plum-scale: dist(P) -- the harness keeps one residual vector per simulated rank
-  std::vector<std::vector<State>> res(static_cast<std::size_t>(P));
-  compute_residual(u_, res);
-  std::vector<std::vector<State>> u1 = u_;
-  for (Rank r = 0; r < P; ++r) {
-    const auto& m = metrics_[static_cast<std::size_t>(r)];
-    for (Index v : m.active_vertices()) {
-      const double inv_vol = 1.0 / m.cell_volume[static_cast<std::size_t>(v)];
-      for (int c = 0; c < solver::kNumVars; ++c) {
-        u1[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)][c] +=
-            0.5 * dt *
-            res[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)][c] *
-            inv_vol;
-      }
-    }
-  }
-  compute_residual(u1, res);
-  for (Rank r = 0; r < P; ++r) {
-    const auto& m = metrics_[static_cast<std::size_t>(r)];
-    for (Index v : m.active_vertices()) {
-      const double inv_vol = 1.0 / m.cell_volume[static_cast<std::size_t>(v)];
-      for (int c = 0; c < solver::kNumVars; ++c) {
-        u_[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)][c] +=
-            dt *
-            res[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)][c] *
-            inv_vol;
-      }
-    }
-  }
+  rk_stage(/*first=*/true, info.dt, info.edge_flux_evals);
+  rk_stage(/*first=*/false, info.dt, info.edge_flux_evals);
   return info;
 }
 

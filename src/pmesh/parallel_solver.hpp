@@ -14,6 +14,13 @@
 //           update then runs redundantly on every copy, which keeps shared
 //           vertex states bit-replicated without a broadcast.
 //
+// Every per-rank kernel runs inside an engine superstep on the worker that
+// owns the rank: metric build, state init and ownership flags in step 0 of
+// the setup exchange; the CFL scan in step 0 of the dt allreduce; the
+// owned-edge fluxes in step 0 and the accumulate + boundary closure + RK
+// stage update in step 1 of each residual exchange. Host code only
+// sequences the programs, so a ParallelEngine shares the whole step.
+//
 // The result matches the serial solver on the gathered mesh up to
 // floating-point summation order.
 
@@ -55,8 +62,20 @@ class ParallelEulerSolver {
   void validate_replication() const;
 
  private:
+  /// Builds every rank's local metrics, initial state and ownership flags,
+  /// then globalizes the shared metric quantities across copies.
   void exchange_setup();
-  void exchange_residuals(std::vector<std::vector<solver::State>>& res);
+  /// One residual evaluation plus its RK2 stage update, as one two-superstep
+  /// program: the first stage sets u1 = u + dt/2 R(u), the second
+  /// u += dt R(u1). Adds each rank's owned-edge flux count to `flux_evals`.
+  void rk_stage(bool first, double dt, std::vector<std::int64_t>& flux_evals);
+
+  /// Rank r's owned-edge fluxes of state `u` into `res` (zeroed first);
+  /// returns the number of fluxes evaluated.
+  std::int64_t edge_fluxes(Rank r, const std::vector<solver::State>& u,
+                           std::vector<solver::State>& res) const;
+  /// Rank r's largest stable time step for its active vertices.
+  [[nodiscard]] double local_dt(Rank r) const;
 
   DistMesh* dm_;
   rt::Engine* eng_;
@@ -64,9 +83,13 @@ class ParallelEulerSolver {
 
   // Per-rank solver state.
   std::vector<solver::DualMetrics> metrics_;   ///< globalized quantities
+  std::vector<std::vector<Index>> active_;     ///< nonzero-volume vertices
   std::vector<std::vector<char>> edge_owned_;  ///< flux responsibility
   std::vector<std::vector<char>> vert_owned_;  ///< for global reductions
   std::vector<std::vector<solver::State>> u_;
+  // RK2 work buffers, reused across steps.
+  std::vector<std::vector<solver::State>> u1_;   ///< first-stage state
+  std::vector<std::vector<solver::State>> res_;  ///< residual
 
   [[nodiscard]] double pressure(const solver::State& s) const;
   [[nodiscard]] double max_wave_speed(const solver::State& s) const;

@@ -7,6 +7,7 @@
 // helpers run on an Engine so the traffic they generate lands in the same
 // ledger as everything else.
 
+#include <type_traits>
 #include <vector>
 
 #include "runtime/engine.hpp"
@@ -110,19 +111,45 @@ std::vector<std::vector<T>> allgather(
   return recv[0];
 }
 
+/// Allreduce with a binary op over one value per rank, where rank r's value
+/// is `produce(r)`, evaluated by rank r inside the collective's first
+/// superstep (so per-rank work such as a CFL scan runs on the rank's own
+/// worker). Traffic is an allgather of one-element vectors; every rank
+/// folds what it received in sender order, and rank 0's fold is returned
+/// (all folds are identical).
+template <typename T, typename Op, typename Produce>
+  requires std::is_invocable_r_v<T, const Produce&, Rank>
+T allreduce(Engine& eng, const Produce& produce, Op op, T init) {
+  const Rank p = eng.nranks();
+  // plum-scale: dist(P) -- one reduction result per simulated rank
+  std::vector<T> acc(static_cast<std::size_t>(p), init);
+  eng.run([&](Rank r, const Inbox& inbox, Outbox& out) {
+    if (out.step() == 0) {
+      const std::vector<T> mine{produce(r)};
+      for (Rank to = 0; to < p; ++to) {
+        out.send_vec(to, detail::kCollectiveTag, mine);
+      }
+      return true;  // need one more step to receive
+    }
+    T folded = init;
+    for (const auto& m : inbox.messages()) {
+      const auto v = unpack<T>(m);
+      PLUM_ASSERT(v.size() == 1);
+      folded = op(folded, v[0]);
+    }
+    acc[static_cast<std::size_t>(r)] = folded;
+    return false;
+  });
+  return acc[0];
+}
+
 /// Allreduce with a binary op over one value per rank.
 template <typename T, typename Op>
 T allreduce(Engine& eng, const std::vector<T>& per_rank, Op op, T init) {
-  std::vector<std::vector<T>> wrapped;
-  wrapped.reserve(per_rank.size());
-  for (const T& v : per_rank) wrapped.push_back({v});
-  auto all = allgather(eng, wrapped);
-  T acc = init;
-  for (const auto& v : all) {
-    PLUM_ASSERT(v.size() == 1);
-    acc = op(acc, v[0]);
-  }
-  return acc;
+  PLUM_ASSERT(static_cast<Rank>(per_rank.size()) == eng.nranks());
+  return allreduce(
+      eng, [&](Rank r) { return per_rank[static_cast<std::size_t>(r)]; }, op,
+      init);
 }
 
 }  // namespace plum::rt

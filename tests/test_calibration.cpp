@@ -411,5 +411,27 @@ TEST(PlumReplay, BookShorterThanRunStillCalibratesBytes) {
   std::remove(path.c_str());
 }
 
+TEST(PlumReplay, RankSolveSecondsMeasureTheSolve) {
+  // Weight blending balances on the per-rank solve seconds, which are the
+  // rank step-function times of the solve phase's supersteps. They only
+  // mean "solve cost" if the solver's kernels run inside the step
+  // functions: the host-side remainder of the phase must stay small.
+  core::FrameworkOptions opt;
+  opt.nranks = 8;
+  opt.threads = 1;
+  opt.calibration.enabled = true;
+  auto fw = make_dist(opt, 12);
+  fw.cycle();
+  ASSERT_EQ(fw.replay_log().cycles.size(), 1u);
+  const ReplayCycle& c = fw.replay_log().cycles[0];
+  ASSERT_EQ(c.rank_solve_seconds.size(), 8u);
+  double in_steps = 0;
+  for (double s : c.rank_solve_seconds) in_steps += s;
+  EXPECT_GT(c.solve_seconds, 0.0);
+  EXPECT_GE(in_steps, 0.5 * c.solve_seconds)
+      << "step functions " << in_steps << " s of a " << c.solve_seconds
+      << " s solve phase";
+}
+
 }  // namespace
 }  // namespace plum::sim

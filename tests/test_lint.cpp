@@ -86,6 +86,20 @@ TEST(LintFixtures, RawFdInSuperstep) {
   EXPECT_EQ(r.unsuppressed_count(), 3) << plumlint::to_json(r);
 }
 
+TEST(LintFixtures, RankSlotInLoop) {
+  const LintResult r = lint_fixture("bad_rank_slot_in_loop.cpp");
+  // ++slot and slot += in a range-for, += in an unbraced loop body, and a
+  // postfix ++ in a while loop; the store after the loops and the writes
+  // into rank r's own row must not be flagged.
+  EXPECT_EQ(r.count_of("rank-slot-in-loop"), 4);
+  EXPECT_EQ(r.unsuppressed_count(), 4) << plumlint::to_json(r);
+}
+
+TEST(LintFixtures, RankSlotStoredOnceIsClean) {
+  const LintResult r = lint_fixture("clean_rank_slot_in_loop.cpp");
+  EXPECT_TRUE(r.diagnostics.empty()) << plumlint::to_json(r);
+}
+
 TEST(LintFixtures, RawStringsDoNotDesyncTheLexer) {
   const LintResult r = lint_fixture("raw_strings.cpp");
   // One violation per function, each sitting after raw strings whose
@@ -138,7 +152,8 @@ TEST(LintFixtures, WholeDirectoryLintsWithSameTotals) {
         "bad_shared_accumulator.cpp", "bad_metrics_in_superstep.cpp",
         "bad_scope_in_superstep.cpp", "bad_nondeterminism.cpp",
         "bad_wallclock_in_superstep.cpp",
-        "bad_raw_fd_in_superstep.cpp", "clean_superstep.cpp",
+        "bad_raw_fd_in_superstep.cpp", "bad_rank_slot_in_loop.cpp",
+        "clean_rank_slot_in_loop.cpp", "clean_superstep.cpp",
         "suppressed.cpp", "bad_suppression.cpp", "raw_strings.cpp",
         "nested_lambdas.cpp"}) {
     std::ifstream in(fixture_path(name));
@@ -156,8 +171,9 @@ TEST(LintFixtures, WholeDirectoryLintsWithSameTotals) {
   EXPECT_EQ(r.count_of("nondeterminism-source"), 5);  // 4 + rand() above
   EXPECT_EQ(r.count_of("wall-clock-in-superstep"), 2);
   EXPECT_EQ(r.count_of("raw-fd-in-superstep"), 3);
+  EXPECT_EQ(r.count_of("rank-slot-in-loop"), 4);
   EXPECT_EQ(r.suppressed_count(), 3);
-  EXPECT_EQ(r.files_scanned, 13);
+  EXPECT_EQ(r.files_scanned, 15);
 }
 
 // --- API-level cases ---------------------------------------------------------
@@ -288,6 +304,7 @@ TEST(LintApi, CheckRegistryCoversContract) {
   EXPECT_TRUE(has("shared-accumulator"));
   EXPECT_TRUE(has("nondeterminism-source"));
   EXPECT_TRUE(has("wall-clock-in-superstep"));
+  EXPECT_TRUE(has("rank-slot-in-loop"));
   EXPECT_TRUE(has("bad-suppression"));
   EXPECT_TRUE(has("unused-suppression"));
 }

@@ -17,6 +17,7 @@ constexpr const char* kSharedAcc = "shared-accumulator";
 constexpr const char* kNondet = "nondeterminism-source";
 constexpr const char* kWallClock = "wall-clock-in-superstep";
 constexpr const char* kRawFd = "raw-fd-in-superstep";
+constexpr const char* kRankSlot = "rank-slot-in-loop";
 constexpr const char* kBadSuppress = "bad-suppression";
 constexpr const char* kUnusedSuppress = "unused-suppression";
 
@@ -155,8 +156,31 @@ void check_nondeterminism(const std::string& file, const Tokens& t,
   }
 }
 
-// --- checks: rank-guard-mutation & shared-accumulator ------------------------
+// --- checks: rank-guard-mutation, shared-accumulator, rank-slot-in-loop -----
 
+/// i at `for`/`while`/`do`: index of the last token of the loop (its body's
+/// closing brace, or the `;` ending an unbraced body), or i if `t[i]` does
+/// not start a loop.
+std::size_t loop_end(const Tokens& t, std::size_t i) {
+  std::size_t body = i + 1;
+  if (is(t[i], "for") || is(t[i], "while")) {
+    if (!is(t[i + 1], "(")) return i;
+    body = match_forward(t, i + 1, "(", ")") + 1;
+  } else if (!is(t[i], "do")) {
+    return i;
+  }
+  if (is(t[body], "{")) return match_forward(t, body, "{", "}");
+  int depth = 0;
+  for (std::size_t k = body; t[k].kind != Tok::End; ++k) {
+    const std::string& x = t[k].text;
+    if (x == "(" || x == "[" || x == "{") ++depth;
+    if (x == ")" || x == "]" || x == "}") {
+      if (--depth == 0 && x == "}") return k;
+    }
+    if (x == ";" && depth == 0) return k;
+  }
+  return i;
+}
 
 void check_superstep_body(const std::string& file, const Tokens& t,
                           const SuperstepLambda& lam, const SkipSpans& skip,
@@ -171,10 +195,13 @@ void check_superstep_body(const std::string& file, const Tokens& t,
 
   // Active `if (r == 0)` style guards, as end-token indices (innermost last).
   std::vector<std::size_t> guard_ends;
+  // Enclosing loops, as end-token indices (innermost last).
+  std::vector<std::size_t> loop_ends;
 
   int depth = 0;
   for (std::size_t i = lam.body_begin; i <= lam.body_end; ++i) {
     while (!guard_ends.empty() && i > guard_ends.back()) guard_ends.pop_back();
+    while (!loop_ends.empty() && i > loop_ends.back()) loop_ends.pop_back();
     const std::size_t jump = skip_to(skip, i);
     if (jump != i) {
       i = jump;  // nested superstep body: checked on its own pass
@@ -203,6 +230,10 @@ void check_superstep_body(const std::string& file, const Tokens& t,
       }
       i = cap_end;  // capture list is binding syntax, not assignments
       continue;
+    }
+
+    if (const std::size_t end = loop_end(t, i); end != i) {
+      loop_ends.push_back(end);
     }
 
     // Declarations at statement starts (and in for-loop headers).
@@ -276,7 +307,26 @@ void check_superstep_body(const std::string& file, const Tokens& t,
       continue;
     }
     if (!lhs.ok || lhs.base.empty()) continue;
-    if (lhs.rank_indexed) continue;
+    if (lhs.rank_indexed) {
+      // Read-modify-write of one rank slot per loop iteration: rank-safe,
+      // but neighbouring ranks' slots share a cache line, so concurrent
+      // workers ping-pong it on every iteration.
+      const bool rmw = via.empty() && !is(tk, "=");
+      if (lhs.rank_slot && rmw && !loop_ends.empty() &&
+          !is_local(lhs.base)) {
+        out.push_back(
+            {file, op_line, kRankSlot,
+             "captured '" + lhs.base + "' has its rank slot updated ('" +
+                 tk.text +
+                 "') inside a loop of a superstep: neighbouring ranks' "
+                 "slots share a cache line, so workers of a ParallelEngine "
+                 "false-share it every iteration; count into a local and "
+                 "store the slot once after the loop",
+             false,
+             ""});
+      }
+      continue;
+    }
     if (is_local(lhs.base)) continue;
     if (!lam.rank_var.empty() && lhs.base == lam.rank_var) continue;
 
@@ -487,6 +537,9 @@ const std::vector<CheckInfo>& checks() {
       {kRawFd,
        "bare POSIX fd calls (read/write/send/recv/...) inside superstep "
        "lambdas"},
+      {kRankSlot,
+       "++x[r] / x[r] += on a captured container inside a loop of a "
+       "superstep lambda (false sharing across workers)"},
       {kBadSuppress, "malformed or unjustified plum-lint suppressions"},
       {kUnusedSuppress, "suppressions that no longer match any diagnostic"},
   };

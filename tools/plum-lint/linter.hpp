@@ -1,7 +1,7 @@
 #pragma once
 // plum-lint: rank-safety & determinism static checker for BSP superstep
 // code. Enforces the determinism contract of src/runtime/engine.hpp over
-// the source tree with six checks (see kChecks for the registry):
+// the source tree with seven checks (see kChecks for the registry):
 //
 //   rank-guard-mutation    writes to captured state guarded by a
 //                          `rank == 0` style condition inside a superstep
@@ -38,6 +38,12 @@
 //                          (report writers, the scope stream) is fine.
 //                          Member calls like `out.send(...)` are not
 //                          flagged.
+//   rank-slot-in-loop      `++x[r]` / `x[r] += ...` on a captured
+//                          container inside a loop body of a superstep
+//                          lambda. Rank-safe, but neighbouring ranks'
+//                          slots share a cache line, so ParallelEngine
+//                          workers false-share it once per iteration;
+//                          count into a local and store the slot once.
 //
 // Suppressions: `// plum-lint: allow(<check>) -- <justification>` on the
 // same line or the line directly above the diagnostic. The justification
@@ -76,7 +82,7 @@ struct CheckInfo {
   const char* summary;
 };
 
-/// The five contract checks plus the two meta checks, in report order.
+/// The contract checks plus the two meta checks, in report order.
 const std::vector<CheckInfo>& checks();
 
 struct LintResult {

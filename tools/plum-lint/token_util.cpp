@@ -116,19 +116,24 @@ DeclNames try_parse_decl(const Tokens& t, std::size_t i) {
 LhsInfo parse_lhs_backward(const Tokens& t, std::size_t j, std::size_t begin,
                            const std::string& rank_var) {
   LhsInfo out;
+  bool last_subscript = true;  // walking backward: the first one seen
   while (j > begin) {
     if (is(t[j], "]")) {
       std::size_t depth = 1;
       std::size_t k = j;
+      bool mentions_rank = false;
       while (k > begin && depth > 0) {
         --k;
         if (is(t[k], "]")) ++depth;
         if (is(t[k], "[")) --depth;
         if (depth > 0 && t[k].kind == Tok::Ident && !rank_var.empty() &&
             t[k].text == rank_var) {
-          out.rank_indexed = true;
+          mentions_rank = true;
         }
       }
+      out.rank_indexed |= mentions_rank;
+      if (last_subscript) out.rank_slot = mentions_rank;
+      last_subscript = false;
       if (depth != 0 || k == begin) return out;
       j = k - 1;
       continue;
@@ -161,12 +166,15 @@ LhsInfo parse_lhs_forward(const Tokens& t, std::size_t j,
       k += 2;
     } else if (is(t[k], "[")) {
       const std::size_t close = match_forward(t, k, "[", "]");
+      bool mentions_rank = false;
       for (std::size_t m = k + 1; m < close; ++m) {
         if (t[m].kind == Tok::Ident && !rank_var.empty() &&
             t[m].text == rank_var) {
-          out.rank_indexed = true;
+          mentions_rank = true;
         }
       }
+      out.rank_indexed |= mentions_rank;
+      out.rank_slot = mentions_rank;  // the last subscript wins
       k = close + 1;
     } else {
       break;

@@ -57,6 +57,10 @@ DeclNames try_parse_decl(const Tokens& t, std::size_t i);
 struct LhsInfo {
   std::string base;
   bool rank_indexed = false;
+  /// The path's last subscript mentions the rank: the write lands in one
+  /// rank slot of a shared array (`counts[r]`, `stats[r].n`), not inside a
+  /// rank-owned row (`rows[r][v]`).
+  bool rank_slot = false;
   bool ok = false;
 };
 
