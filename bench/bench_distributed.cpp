@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
     opt.solver_steps_per_cycle = 6;
     opt.threads = cli.threads;
     // Live monitoring + crash forensics: every sweep size appends its
-    // cycle records to the same stream (tools/plum-top tails it), and the
+    // cycle records to the same stream (`plum top` tails it), and the
     // postmortem file carries the bench name.
     opt.scope_name = bench_name + "_P" + std::to_string(P);
     opt.scope_stream = cli.scope_stream;
@@ -347,8 +347,8 @@ int main(int argc, char** argv) {
       run.comm_matrix_from(fw.engine().ledger().comm_matrix());
     }
 
-    // One Chrome trace + one run document + one standalone gate-audit log
-    // (take the first P so the artifacts exist even if a later size fails).
+    // One Chrome trace + one run document + one replay book (take the
+    // first P so the artifacts exist even if a later size fails).
     if (!trace_written) {
       const char* dir = std::getenv("PLUM_BENCH_JSON_DIR");
       const std::string base = std::string((dir && dir[0]) ? dir : ".");
@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "failed to write %s\n", stem.c_str());
       }
 
-      // plum-run/1: the trace+metrics document tools/plum-report renders.
+      // plum-run/1: the trace+metrics document `plum report` renders.
       obs::Json run_doc = obs::Json::object();
       run_doc.set("schema", obs::Json::str("plum-run/1"))
           .set("name",
@@ -382,17 +382,6 @@ int main(int argc, char** argv) {
           base + "/REPLAY_" + bench_name + ".json";
       if (!fw.replay_log().save(replay_path)) {
         std::fprintf(stderr, "failed to write %s\n", replay_path.c_str());
-        trace_written = false;
-      }
-
-      obs::Json gate_doc = obs::Json::object();
-      gate_doc.set("schema", obs::Json::str("plum-gate-audit/1"))
-          .set("records", obs::gate_audit_json(fw.trace().gate_records()));
-      const std::string gate_path = base + "/GATE_" + bench_name + ".json";
-      std::ofstream gate_out(gate_path);
-      gate_out << gate_doc.dump(2) << '\n';
-      if (!gate_out) {
-        std::fprintf(stderr, "failed to write %s\n", gate_path.c_str());
         trace_written = false;
       }
     }

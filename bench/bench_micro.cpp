@@ -230,7 +230,7 @@ void BM_ScopeRecorderEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_ScopeRecorderEvent)->Arg(16);
 
-// Deterministic companion report for the plum-diff gate: a fixed recording
+// Deterministic companion report for the `plum diff` gate: a fixed recording
 // workload whose ring-accounting counters (events recorded, survivors,
 // overwrites) are pure functions of the capacity and event count, plus the
 // measured per-event overhead as a wall-named (report-only) metric. Written
@@ -264,7 +264,7 @@ std::string write_scope_report() {
       .metric_int("events_surviving", surviving)
       .metric_int("events_overwritten", recorded - surviving)
       .metric_int("ring_capacity", rec.capacity())
-      // Wall-named => plum-diff reports it without gating: per-event
+      // Wall-named => `plum diff` reports it without gating: per-event
       // recording overhead in nanoseconds.
       .metric("scope_event_wall_ns",
               total_s * 1e9 / static_cast<double>(total_events));
@@ -323,7 +323,7 @@ void BM_ArenaTrackedVecGrow(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaTrackedVecGrow)->Arg(0)->Arg(1);
 
-// Deterministic allocation-churn report for the plum-diff gate: fixed
+// Deterministic allocation-churn report for the `plum diff` gate: fixed
 // workloads for the three converted hot phases (HEM matching, KL-FM
 // refinement, remap pack staging) run under a MemoryTracker. The
 // alloc/byte counts are pure functions of the inputs — committed as
@@ -400,7 +400,7 @@ std::string write_mem_report() {
   const Churn klfm = phase_churn("klfm_refine");
   const Churn remap = phase_churn("remap_pack");
 
-  // Measured bump cost — wall-named so plum-diff reports it without gating.
+  // Measured bump cost — wall-named so `plum diff` reports it without gating.
   double arena_ns = 0;
   {
     obs::Arena arena;
@@ -467,7 +467,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   // Always emit the deterministic scope-recorder and allocation-churn
-  // reports (plum-diff gates their counters against bench/baselines/).
+  // reports (`plum diff` gates their counters against bench/baselines/).
   if (write_scope_report().empty()) return 1;
   if (write_mem_report().empty()) return 1;
   return 0;

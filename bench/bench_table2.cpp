@@ -97,7 +97,7 @@ int main() {
         report.add_run("Real_2", P)
             .metric_int("bmcm_max_sent_or_recv", v_bm.max_sent_or_recv)
             .metric_int("opt_mwbg_total_elems", v_opt.total_elems)
-            // Measured timer reads, so spelled *_seconds: plum-diff's
+            // Measured timer reads, so spelled *_seconds: `plum diff`'s
             // regression gate treats that suffix as wall clock (report-only).
             .metric("opt_mwbg_solve_seconds", opt.solve_seconds)
             .metric_int("heu_mwbg_total_elems", v_heu.total_elems)

@@ -20,15 +20,15 @@
 //     ]
 //   }
 //
-// v2 extends plum-bench/1 with gauge series and fixed-bound histogram
-// objects under "metrics", the per-run "comm_matrix", "gate_audit",
-// "critical_path" (the counter-sourced plum-path decomposition), and
-// "calibration" (a plum-calibration/1 document, sim/calibration.hpp); all
-// are optional per run, so v1-shaped producers keep working.
+// Besides scalar metrics, a run may carry gauge series and fixed-bound
+// histogram objects under "metrics", the per-run "comm_matrix",
+// "gate_audit", "critical_path" (the counter-sourced plum-path
+// decomposition), and "calibration" (a plum-calibration/1 document,
+// sim/calibration.hpp); all are optional per run.
 //
 // The output directory defaults to the working directory and is overridden
-// by PLUM_BENCH_JSON_DIR. tools/check_bench_json validates the files in CI
-// with the same obs::validate_bench_report the unit tests use.
+// by PLUM_BENCH_JSON_DIR. `plum check` validates the files in CI with the
+// same obs::validate_bench_report the unit tests use.
 
 #include <cstdio>
 #include <cstdlib>

@@ -413,7 +413,7 @@ inline void MemTap::on_free(std::size_t bytes) {
 }
 
 /// Returns "" when `heap` is a valid plum-heap/1 section, else a
-/// description of the first violation (shared by check_bench_json and the
+/// description of the first violation (shared by `plum check` and the
 /// unit tests).
 [[nodiscard]] std::string validate_heap_section(const Json& heap);
 

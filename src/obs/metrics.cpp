@@ -200,8 +200,8 @@ Json MetricsRegistry::to_json_impl(bool include_wall_clock) const {
       for (const auto s : v.samples_d) arr.push(Json::number(s));
     }
     if (v.wall) {
-      // Wall series render as tagged objects so consumers (plum-diff,
-      // plum-report) can tell report-only gauges from gated ones.
+      // Wall series render as tagged objects so consumers (`plum diff`,
+      // `plum report`) can tell report-only gauges from gated ones.
       Json obj = Json::object();
       obj.set("series", Json::boolean(true))
           .set("wall", Json::boolean(true))

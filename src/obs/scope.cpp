@@ -170,7 +170,7 @@ bool ScopeStreamWriter::append(const Json& record) {
   std::string line = record.dump();
   line.push_back('\n');
   // write_all retries EINTR and short writes; with O_APPEND the line lands
-  // atomically enough for a single writer that a tailing plum-top never
+  // atomically enough for a single writer that a tailing `plum top` never
   // parses a torn record.
   return write_all(fd_, line);
 }

@@ -19,7 +19,7 @@
 //                       frameworks emit one "plum-scope/1" record per
 //                       cycle through it (per-rank busy/wait, gate
 //                       verdict, imbalance, coordinator RSS), and
-//                       tools/plum-top tails the file to render a live
+//                       `plum top` tails the file to render a live
 //                       per-rank table of a run in progress.
 //   install_postmortem — hooks plum::detail::assert_fail so a failed
 //                       PLUM_ASSERT flushes the last-N ring events per
@@ -143,7 +143,7 @@ class FlightRecorder final : public rt::RankScopeSink {
 };
 
 /// EINTR/short-write-safe NDJSON appender for "plum-scope/1" streams. One
-/// append() writes one complete line, so a tailing reader (tools/plum-top)
+/// append() writes one complete line, so a tailing reader (`plum top`)
 /// never sees a torn record from a single writer.
 class ScopeStreamWriter {
  public:
@@ -185,7 +185,7 @@ void uninstall_postmortem();
                                    int line, const char* msg);
 
 /// Returns "" when `doc` is a valid plum-postmortem/1 document, else a
-/// description of the first violation (the check_bench_json gate and the
+/// description of the first violation (`plum check` / `plum report` and the
 /// unit tests share this validator).
 [[nodiscard]] std::string validate_postmortem(const Json& doc);
 
@@ -204,7 +204,7 @@ enum class TailStatus {
 /// file): newline-terminated lines are scanned backwards and the first one
 /// that parses and validates wins. A trailing chunk without a newline — a
 /// writer caught mid-append — or a line truncated by a crash yields
-/// kPartial instead of an error, so tailing readers (tools/plum-top) skip
+/// kPartial instead of an error, so tailing readers (`plum top`) skip
 /// the torn record and retry on the next poll.
 [[nodiscard]] TailStatus latest_stream_record(std::string_view text,
                                               Json* out);

@@ -1,6 +1,6 @@
 // plum-trace observability layer: JSON model round-trips, metric ordering
 // stability, TraceRecorder phase/superstep accounting, cross-engine
-// byte-identical deterministic traces, the plum-bench/1 schema validator,
+// byte-identical deterministic traces, the plum-bench/2 schema validator,
 // and the Chrome trace exporter.
 
 #include <gtest/gtest.h>
@@ -531,7 +531,7 @@ Json valid_report() {
            Json::object().set("speedup", Json::number(9.3)))
       .set("phases", Json::array().push(std::move(phase)));
   Json doc = Json::object();
-  doc.set("schema", Json::str("plum-bench/1"))
+  doc.set("schema", Json::str("plum-bench/2"))
       .set("bench", Json::str("bench_fig4"))
       .set("runs", Json::array().push(std::move(run)));
   return doc;
@@ -583,9 +583,8 @@ TEST(BenchSchema, RejectsViolations) {
 
 Json valid_v2_report() {
   Json doc = valid_report();
-  doc.set("schema", Json::str("plum-bench/2"));
   Json run = doc.find("runs")->at(0);
-  // Gauge series: arrays of numbers are v2-only.
+  // Gauge series: arrays of numbers.
   Json metrics = *run.find("metrics");
   metrics.set("imbalance",
               Json::array().push(Json::number(1.5)).push(Json::number(1.1)));
@@ -619,7 +618,8 @@ TEST(BenchSchema, V2AcceptsGaugesCommMatrixAndGateAudit) {
 }
 
 TEST(BenchSchema, V2OnlyFieldsRejectedUnderV1) {
-  // The same document under schema v1 must fail on each v2-only field.
+  // No writer emits schema v1 any more: a v1 document is rejected whole,
+  // with a message naming the one accepted version.
   Json doc = valid_v2_report();
   doc.set("schema", Json::str("plum-bench/1"));
   const std::string err = obs::validate_bench_report(doc);
@@ -684,13 +684,6 @@ TEST(BenchSchema, V2AcceptsHistogramsAndCriticalPath) {
               .to_json());
   doc.set("runs", Json::array().push(std::move(run)));
   EXPECT_EQ(obs::validate_bench_report(doc), "") << doc.dump(2);
-
-  // Both are v2-only.
-  Json v1 = doc;
-  v1.set("schema", Json::str("plum-bench/1"));
-  const std::string err = obs::validate_bench_report(v1);
-  EXPECT_NE(err, "");
-  EXPECT_NE(err.find("plum-bench/2"), std::string::npos) << err;
 }
 
 TEST(BenchSchema, V2RejectsMalformedHistogramAndCriticalPath) {
@@ -768,13 +761,6 @@ TEST(BenchSchema, V2AcceptsCalibrationSectionAndGateRegressors) {
   run.set("gate_audit", obs::gate_audit_json({g}));
   doc.set("runs", Json::array().push(std::move(run)));
   EXPECT_EQ(obs::validate_bench_report(doc), "") << doc.dump(2);
-
-  // Calibration is v2-only.
-  Json v1 = doc;
-  v1.set("schema", Json::str("plum-bench/1"));
-  const std::string err = obs::validate_bench_report(v1);
-  EXPECT_NE(err, "");
-  EXPECT_NE(err.find("plum-bench/2"), std::string::npos) << err;
 }
 
 TEST(BenchSchema, V2RejectsMalformedCalibration) {
@@ -1164,10 +1150,38 @@ TEST(BenchSchema, V2AcceptsWallSeriesObjects) {
   run.set("metrics", std::move(metrics));
   doc.set("runs", Json::array().push(std::move(run)));
   EXPECT_EQ(obs::validate_bench_report(doc), "");
+}
 
-  // Same object under schema v1 must be rejected.
-  doc.set("schema", Json::str("plum-bench/1"));
-  EXPECT_NE(obs::validate_bench_report(doc), "");
+TEST(RunSchema, AcceptsRunDocAndRejectsViolations) {
+  rt::Engine eng(2);
+  obs::TraceRecorder rec;
+  eng.set_observer(&rec);
+  eng.run(tick);
+  Json doc = Json::object();
+  doc.set("schema", Json::str("plum-run/1"))
+      .set("name", Json::str("tick P=2"))
+      .set("trace", rec.to_json())
+      .set("metrics", obs::MetricsRegistry().to_json());
+  EXPECT_EQ(obs::validate_run_doc(doc), "") << doc.dump(2);
+
+  {
+    Json bad = doc;
+    bad.set("schema", Json::str("plum-run/2"));
+    EXPECT_NE(obs::validate_run_doc(bad), "");
+  }
+  {
+    Json bad = doc;
+    bad.set("trace", Json::object());  // no phases / supersteps
+    EXPECT_NE(obs::validate_run_doc(bad), "");
+  }
+  {
+    Json bad = doc;
+    Json trace = *doc.find("trace");
+    trace.set("heap", Json::object().set("schema", Json::str("plum-heap/1")));
+    bad.set("trace", std::move(trace));
+    const std::string err = obs::validate_run_doc(bad);
+    EXPECT_NE(err.find("heap section"), std::string::npos) << err;
+  }
 }
 
 // --------------------------------------------------------------- plum-mem

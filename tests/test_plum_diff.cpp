@@ -1,4 +1,4 @@
-// plum-diff, the bench regression gate: a report self-diffs clean (exit
+// `plum diff`, the bench regression gate: a report self-diffs clean (exit
 // status 0), any deterministic perturbation breaches (exit status 1), wall
 // metrics never gate, per-metric thresholds loosen exactly one metric, and
 // the directory mode pairs BENCH_*.json files and flags missing ones.

@@ -26,9 +26,9 @@ done
 TMPDIR_ALL="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_ALL"' EXIT
 
-# plum-lint additionally covers the report tools; plum-scale's scaling
+# plum-lint additionally covers the plum tool; plum-scale's scaling
 # contract applies to the library sources under src/.
-"$LINT" --json "$TMPDIR_ALL/lint.json" src tools/plum-report tools/plum-diff
+"$LINT" --json "$TMPDIR_ALL/lint.json" src tools/plum
 lint_status=$?
 "$SCALE" --json "$TMPDIR_ALL/scale.json" src
 scale_status=$?

@@ -4,9 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
+#include "document.hpp"
 #include "obs/bench_schema.hpp"
 
 namespace plum::diff {
@@ -437,18 +436,16 @@ class Differ {
 };
 
 bool load_json(const std::string& path, Json* out, std::string* err) {
-  std::ifstream in(path);
-  if (!in) {
-    *err = "cannot open " + path;
+  tool::Document doc;
+  if (tool::load_document(path, &doc, err) != tool::Load::kOk) {
+    *err = path + ": " + *err;
     return false;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string perr;
-  if (!Json::parse(buf.str(), out, &perr)) {
-    *err = path + ": parse error: " + perr;
+  if (doc.stream) {
+    *err = path + ": an NDJSON stream, not a plum-bench report";
     return false;
   }
+  *out = std::move(doc.values.front());
   return true;
 }
 
@@ -552,7 +549,7 @@ DiffResult diff_dirs(const std::string& baseline_dir,
 
 void print_delta_table(const DiffResult& result, std::FILE* out) {
   if (!result.error.empty()) {
-    std::fprintf(out, "plum-diff: error: %s\n", result.error.c_str());
+    std::fprintf(out, "plum diff: error: %s\n", result.error.c_str());
     return;
   }
   if (!result.deltas.empty()) {
@@ -566,7 +563,7 @@ void print_delta_table(const DiffResult& result, std::FILE* out) {
     }
   }
   std::fprintf(out,
-               "plum-diff: %d values compared, %zu changed, %d breaches\n",
+               "plum diff: %d values compared, %zu changed, %d breaches\n",
                result.compared, result.deltas.size(), result.breaches);
 }
 

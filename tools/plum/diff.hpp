@@ -1,5 +1,5 @@
 #pragma once
-// plum-diff core: metric-by-metric comparison of two plum-bench/1|2
+// `plum diff` core: metric-by-metric comparison of two plum-bench/2
 // reports, built as a static library so tests/test_plum_diff.cpp can drive
 // the comparison (and the exit-status mapping) in-process.
 //
@@ -69,7 +69,7 @@ DiffResult diff_files(const std::string& baseline_path,
 
 /// Compares every BENCH_*.json in `baseline_dir` against the same filename
 /// in `current_dir` (CI mode). A BENCH_*.json present on one side only is
-/// a breach; other files (TRACE_/RUN_/GATE_) are ignored.
+/// a breach; other files (TRACE_/RUN_/REPLAY_) are ignored.
 DiffResult diff_dirs(const std::string& baseline_dir,
                      const std::string& current_dir, const Options& opt);
 

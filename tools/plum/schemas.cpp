@@ -1,62 +1,24 @@
-// plum-report: renders plum observability JSON into a human-readable run
-// report. Accepts any mix of:
-//
-//   RUN_*.json    — "plum-run/1" documents ({"trace": ..., "metrics": ...})
-//                   written by bench_distributed,
-//   BENCH_*.json  — "plum-bench/1" / "plum-bench/2" reports,
-//   GATE_*.json   — "plum-gate-audit/1" standalone gate logs,
-//   REPLAY_*.json — "plum-replay/1" recorded timing books,
-//   SCOPE streams — "plum-scope/1" NDJSON live-run streams (one record
-//                   per cycle; rendered as a cycle timeline),
-//   POSTMORTEM_*.json — "plum-postmortem/1" crash dumps (reason and last-N
-//                   ring events per rank),
-//   bare trace documents (obs::TraceRecorder::to_json() output).
-//
-// For each input it prints the per-phase table, the P x P comm matrix with
-// row/column sums, the per-tag-class traffic split, the gauge timelines
-// (imbalance / edge cut / remap volumes), the gate history with
-// predicted-vs-measured drift, and the calibrated cost-model constants
-// ("plum-calibration/1" sections, sim/calibration.hpp).
-//
-//   plum-report bench-json/RUN_bench_distributed.json
-//   plum-report bench-json/BENCH_*.json
-//
-// Exit status: 0 on success, 1 when any input fails to parse or has none of
-// the recognized shapes, 2 on usage/IO errors.
+// The schema table behind `plum check` and `plum report`: one entry per
+// schema id, holding the validator (shared with the writers' tests in
+// src/obs and src/sim) and the renderer. `plum report` renders a document
+// only after it passed the same validation `plum check` applies.
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/bench_schema.hpp"
-#include "obs/json.hpp"
+#include "obs/memory.hpp"
 #include "obs/scope.hpp"
+#include "plum.hpp"
+#include "sim/calibration.hpp"
+
+namespace plum::tool {
 
 namespace {
 
-using plum::obs::Json;
-
-double num_or(const Json* v, double fallback) {
-  if (!v || !v->is_number()) return fallback;
-  return v->kind() == Json::Kind::kInt ? static_cast<double>(v->as_int())
-                                       : v->as_double();
-}
-
-std::int64_t int_or(const Json* v, std::int64_t fallback) {
-  return v && v->kind() == Json::Kind::kInt ? v->as_int() : fallback;
-}
-
-std::string str_or(const Json* v, const std::string& fallback) {
-  return v && v->is_string() ? v->as_string() : fallback;
-}
-
-void print_rule(char c = '-', int width = 72) {
-  for (int i = 0; i < width; ++i) std::putchar(c);
-  std::putchar('\n');
-}
+using obs::Json;
 
 // --- phases ----------------------------------------------------------------
 
@@ -138,9 +100,7 @@ void print_metrics(const Json& metrics) {
   for (const auto& [name, v] : metrics.items()) {
     if (v.is_object()) {
       // Fixed-bound histogram (MetricsRegistry::to_json() rendering).
-      const Json* wall = v.find("wall");
-      const bool is_wall =
-          wall && wall->kind() == Json::Kind::kBool && wall->as_bool();
+      const bool is_wall = flag(v.find("wall"));
       std::printf("  %-26s hist n=%-6lld p50=%-10.6g p95=%-10.6g max=%-10.6g%s\n",
                   name.c_str(),
                   static_cast<long long>(int_or(v.find("count"), 0)),
@@ -270,13 +230,7 @@ void print_gate_audit(const Json& audit) {
   for (std::size_t i = 0; i < audit.size(); ++i) {
     const Json& rec = audit.at(i);
     if (!rec.is_object()) continue;
-    const Json* evaluated = rec.find("evaluated");
-    const Json* accepted = rec.find("accepted");
-    const bool ev = evaluated && evaluated->kind() == Json::Kind::kBool &&
-                    evaluated->as_bool();
-    const bool acc = accepted && accepted->kind() == Json::Kind::kBool &&
-                     accepted->as_bool();
-    const char* decision = !ev ? "skipped" : (acc ? "ACCEPT" : "reject");
+    const char* decision = gate_decision(rec);
     std::printf("  %5lld %-9s %-7s %8.4f %8.4f %12.6f %12.6f %12lld %7.1f%%\n",
                 static_cast<long long>(int_or(rec.find("cycle"), 0)), decision,
                 str_or(rec.find("metric"), "?").c_str(),
@@ -293,9 +247,7 @@ void print_gate_audit(const Json& audit) {
 
 void print_calibration(const Json& cal) {
   if (!cal.is_object()) return;
-  const Json* en = cal.find("enabled");
-  const bool enabled =
-      en && en->kind() == Json::Kind::kBool && en->as_bool();
+  const bool enabled = flag(cal.find("enabled"));
   std::printf("\nCalibration (%s): %lld cycles, %lld remap samples, "
               "mean |drift| %.1f%%\n",
               enabled ? "enabled" : "disabled",
@@ -325,19 +277,17 @@ void print_calibration(const Json& cal) {
   }
 }
 
-int report_replay_doc(const Json& doc) {
-  const Json* cycles = doc.find("cycles");
-  if (!cycles || !cycles->is_array()) {
-    std::fprintf(stderr, "replay book missing \"cycles\" array\n");
-    return 1;
-  }
-  std::printf("Replay book: %zu cycles\n", cycles->size());
-  if (cycles->size() == 0) return 0;
+
+// --- plum-replay -----------------------------------------------------------
+
+void render_replay(const Document& d) {
+  const Json& cycles = *d.values.front().find("cycles");
+  std::printf("Replay book: %zu cycles\n", cycles.size());
+  if (cycles.size() == 0) return;
   std::printf("  %5s %12s %12s %12s %6s\n", "cycle", "solve_s", "remap_s",
               "subdiv_s", "ranks");
-  for (std::size_t i = 0; i < cycles->size(); ++i) {
-    const Json& c = cycles->at(i);
-    if (!c.is_object()) continue;
+  for (std::size_t i = 0; i < cycles.size(); ++i) {
+    const Json& c = cycles.at(i);
     const Json* rs = c.find("rank_solve_seconds");
     std::printf("  %5lld %12.6f %12.6f %12.6f %6zu\n",
                 static_cast<long long>(int_or(c.find("cycle"),
@@ -347,10 +297,9 @@ int report_replay_doc(const Json& doc) {
                 num_or(c.find("subdivide_seconds"), 0),
                 rs && rs->is_array() ? rs->size() : std::size_t{0});
   }
-  return 0;
 }
 
-// --- plum-mem (heap profile) ------------------------------------------------
+// --- plum-heap -------------------------------------------------------------
 
 /// The plum-heap/1 section: per-phase allocation table (rank rows summed),
 /// top-churn ranking, and per-row live/RSS gauges when present.
@@ -442,19 +391,12 @@ void print_heap(const Json& heap) {
   }
 }
 
-// --- plum-scope (stream / postmortem) --------------------------------------
+// --- plum-scope (stream) ---------------------------------------------------
 
 /// One plum-scope/1 record as one timeline row.
 void print_scope_record(const Json& rec) {
   const Json* gate = rec.find("gate");
-  const Json* ev = gate ? gate->find("evaluated") : nullptr;
-  const Json* acc = gate ? gate->find("accepted") : nullptr;
-  const bool evaluated =
-      ev && ev->kind() == Json::Kind::kBool && ev->as_bool();
-  const bool accepted =
-      acc && acc->kind() == Json::Kind::kBool && acc->as_bool();
-  const char* decision =
-      !evaluated ? "skipped" : (accepted ? "ACCEPT" : "reject");
+  const char* decision = gate ? gate_decision(*gate) : "skipped";
 
   // Straggler summary from the per-rank busy/wait pairs.
   std::int64_t busy_total = 0, wait_total = 0, worst_wait = -1;
@@ -488,50 +430,19 @@ void print_scope_header() {
               "elems", "imb", "gate", "wall_s", "wait%", "worst_rank");
 }
 
-int report_scope_stream(const std::string& text, const std::string& path) {
+
+void render_scope(const Document& d) {
   std::printf("Scope stream (plum-scope/1 cycle timeline):\n");
   print_scope_header();
-  std::istringstream lines(text);
-  std::string line;
-  std::size_t lineno = 0;
-  int failures = 0;
-  Json last_record;
-  bool have_record = false;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    Json rec;
-    std::string err;
-    if (!Json::parse(line, &rec, &err)) {
-      std::fprintf(stderr, "%s:%zu: parse error: %s\n", path.c_str(), lineno,
-                   err.c_str());
-      ++failures;
-      continue;
-    }
-    err = plum::obs::validate_scope_record(rec);
-    if (!err.empty()) {
-      std::fprintf(stderr, "%s:%zu: invalid record: %s\n", path.c_str(),
-                   lineno, err.c_str());
-      ++failures;
-      continue;
-    }
-    print_scope_record(rec);
-    last_record = std::move(rec);
-    have_record = true;
-  }
-  if (have_record) {
-    std::printf("\nRun: %s\n",
-                str_or(last_record.find("name"), "(unnamed)").c_str());
-  }
-  return failures == 0 && have_record ? 0 : 1;
+  for (const Json& rec : d.values) print_scope_record(rec);
+  std::printf("\nRun: %s\n",
+              str_or(d.values.back().find("name"), "(unnamed)").c_str());
 }
 
-int report_postmortem_doc(const Json& doc) {
-  const std::string err = plum::obs::validate_postmortem(doc);
-  if (!err.empty()) {
-    std::fprintf(stderr, "invalid postmortem: %s\n", err.c_str());
-    return 1;
-  }
+// --- plum-postmortem -------------------------------------------------------
+
+void render_postmortem(const Document& d) {
+  const Json& doc = d.values.front();
   std::printf("Postmortem: %s\n", str_or(doc.find("name"), "?").c_str());
   const Json* reason = doc.find("reason");
   std::printf("  assertion: %s\n", str_or(reason->find("expr"), "?").c_str());
@@ -578,10 +489,9 @@ int report_postmortem_doc(const Json& doc) {
       }
     }
   }
-  return 0;
 }
 
-// --- document shapes -------------------------------------------------------
+// --- plum-run --------------------------------------------------------------
 
 void print_trace_doc(const Json& trace) {
   if (const Json* phases = trace.find("phases")) print_phases(*phases);
@@ -602,19 +512,18 @@ void print_trace_doc(const Json& trace) {
   if (const Json* cal = trace.find("calibration")) print_calibration(*cal);
 }
 
-int report_run_doc(const Json& doc) {
+void render_run(const Document& d) {
+  const Json& doc = d.values.front();
   std::printf("Run: %s\n", str_or(doc.find("name"), "(unnamed)").c_str());
   if (const Json* trace = doc.find("trace")) print_trace_doc(*trace);
   if (const Json* metrics = doc.find("metrics")) print_metrics(*metrics);
-  return 0;
 }
 
-int report_bench_doc(const Json& doc) {
-  const std::string err = plum::obs::validate_bench_report(doc);
-  if (!err.empty()) {
-    std::fprintf(stderr, "invalid bench report: %s\n", err.c_str());
-    return 1;
-  }
+
+// --- plum-bench ------------------------------------------------------------
+
+void render_bench(const Document& d) {
+  const Json& doc = d.values.front();
   std::printf("Bench: %s\n", str_or(doc.find("bench"), "?").c_str());
   const Json* runs = doc.find("runs");
   for (std::size_t i = 0; i < runs->size(); ++i) {
@@ -629,91 +538,74 @@ int report_bench_doc(const Json& doc) {
     if (const Json* ga = run.find("gate_audit")) print_gate_audit(*ga);
     if (const Json* cal = run.find("calibration")) print_calibration(*cal);
   }
-  return 0;
 }
 
-int report_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  Json doc;
+// --- the table -------------------------------------------------------------
+
+std::string validate_replay(const Json& value) {
+  sim::ReplayBook book;
   std::string err;
-  if (!Json::parse(buf.str(), &doc, &err)) {
-    // Multi-record plum-scope/1 streams are NDJSON: retry line by line
-    // before reporting the whole-document parse error.
-    const std::string text = buf.str();
-    Json first;
-    std::string line_err;
-    const std::size_t eol = text.find('\n');
-    if (eol != std::string::npos &&
-        Json::parse(text.substr(0, eol), &first, &line_err) &&
-        first.is_object() &&
-        str_or(first.find("schema"), "") == "plum-scope/1") {
-      print_rule('=');
-      std::printf("%s\n", path.c_str());
-      print_rule('=');
-      return report_scope_stream(text, path);
-    }
-    std::fprintf(stderr, "%s: parse error: %s\n", path.c_str(), err.c_str());
-    return 1;
-  }
-  if (!doc.is_object()) {
-    std::fprintf(stderr, "%s: top-level value is not an object\n",
-                 path.c_str());
-    return 1;
-  }
-
-  print_rule('=');
-  std::printf("%s\n", path.c_str());
-  print_rule('=');
-
-  const std::string schema = str_or(doc.find("schema"), "");
-  if (schema == "plum-run/1") return report_run_doc(doc);
-  if (schema == "plum-postmortem/1") return report_postmortem_doc(doc);
-  if (schema == "plum-scope/1") {
-    // Single-record stream that parsed as one document.
-    return report_scope_stream(buf.str(), path);
-  }
-  if (schema.rfind("plum-bench/", 0) == 0) return report_bench_doc(doc);
-  if (schema == "plum-replay/1") return report_replay_doc(doc);
-  if (schema == "plum-calibration/1") {
-    print_calibration(doc);
-    return 0;
-  }
-  if (schema == "plum-gate-audit/1") {
-    if (const Json* records = doc.find("records")) {
-      print_gate_audit(*records);
-      return 0;
-    }
-    std::fprintf(stderr, "%s: missing \"records\"\n", path.c_str());
-    return 1;
-  }
-  if (doc.find("phases") && doc.find("supersteps")) {
-    // Bare TraceRecorder::to_json() document.
-    print_trace_doc(doc);
-    return 0;
-  }
-  std::fprintf(stderr, "%s: unrecognized document shape\n", path.c_str());
-  return 1;
+  return sim::ReplayBook::parse(value, &book, &err) ? "" : err;
 }
+
+/// `"run \"<name>\""` for the documents that carry a run name.
+std::string run_name(const Document& d) {
+  return "run \"" + str_or(d.values.front().find("name"), "") + "\"";
+}
+
+std::string count(std::size_t n, const char* what) {
+  return std::to_string(n) + " " + what;
+}
+
+const Schema kSchemas[] = {
+    {"plum-bench/2", false, obs::validate_bench_report,
+     [](const Document& d) {
+       const Json& doc = d.values.front();
+       return count(doc.find("runs")->size(), "runs") + ", bench \"" +
+              doc.find("bench")->as_string() + "\"";
+     },
+     render_bench},
+    {"plum-run/1", false, obs::validate_run_doc, run_name, render_run},
+    {"plum-replay/1", false, validate_replay,
+     [](const Document& d) {
+       return count(d.values.front().find("cycles")->size(), "cycles");
+     },
+     render_replay},
+    {"plum-scope/1", true, obs::validate_scope_record,
+     [](const Document& d) { return count(d.values.size(), "records"); },
+     render_scope},
+    {"plum-postmortem/1", false, obs::validate_postmortem, run_name,
+     render_postmortem},
+    {"plum-heap/1", false, obs::validate_heap_section,
+     [](const Document& d) {
+       return count(static_cast<std::size_t>(
+                        int_or(d.values.front().find("nranks"), 0)),
+                    "ranks");
+     },
+     [](const Document& d) { print_heap(d.values.front()); }},
+};
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: plum-report <run-or-bench-or-trace.json> [...]\n");
-    return 2;
+std::string validate_document(const Document& doc, const Schema** schema) {
+  const Json& first = doc.values.front();
+  if (!first.is_object()) return "top-level value is not an object";
+  const std::string id = str_or(first.find("schema"), "");
+  if (id.empty()) return "missing string field \"schema\"";
+  for (const Schema& s : kSchemas) {
+    if (id != s.id) continue;
+    if (doc.stream && !s.stream) {
+      return "an NDJSON stream, but " + id + " is one document";
+    }
+    for (std::size_t i = 0; i < doc.values.size(); ++i) {
+      const std::string err = s.validate(doc.values[i]);
+      if (err.empty()) continue;
+      return doc.stream ? "record " + std::to_string(i + 1) + ": " + err : err;
+    }
+    *schema = &s;
+    return "";
   }
-  int status = 0;
-  for (int i = 1; i < argc; ++i) {
-    const int rc = report_file(argv[i]);
-    if (rc > status) status = rc;
-    if (i + 1 < argc) std::printf("\n");
-  }
-  return status;
+  return "unknown schema \"" + id + "\"";
 }
+
+}  // namespace plum::tool

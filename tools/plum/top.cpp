@@ -1,8 +1,8 @@
-// plum-top: top(1) for a PLUM run in progress.
+// plum top: top(1) for a PLUM run in progress.
 //
-//   plum-top scope.ndjson            # refresh until interrupted
-//   plum-top --once scope.ndjson     # render the latest record and exit
-//   plum-top --interval-ms 500 scope.ndjson
+//   plum top scope.ndjson            # refresh until interrupted
+//   plum top --once scope.ndjson     # render the latest record and exit
+//   plum top --interval-ms 500 scope.ndjson
 //
 // Tails a "plum-scope/1" NDJSON stream (one record per adaption cycle,
 // written by FrameworkOptions::scope_stream or
@@ -14,26 +14,27 @@
 // record.
 //
 // Exit status: 0 on a clean render, 1 when the stream never produced a
-// valid record, 2 on usage errors.
+// valid record, 2 on usage errors (including an --interval-ms value that
+// is not a non-negative decimal integer; values below 50 are raised to 50).
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include <chrono>
-
-#include "obs/json.hpp"
 #include "obs/scope.hpp"
+#include "plum.hpp"
+
+namespace plum::tool {
 
 namespace {
 
-using plum::obs::Json;
+using obs::Json;
 
 struct Cli {
   std::string path;
@@ -41,59 +42,53 @@ struct Cli {
   int interval_ms = 1000;
 };
 
-bool parse_cli(int argc, char** argv, Cli* cli) {
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--once") == 0) {
-      cli->once = true;
-    } else if (std::strcmp(a, "--interval-ms") == 0 && i + 1 < argc) {
-      cli->interval_ms = std::atoi(argv[++i]);
-    } else if (std::strncmp(a, "--interval-ms=", 14) == 0) {
-      cli->interval_ms = std::atoi(a + 14);
-    } else if (a[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", a);
-      return false;
-    } else if (cli->path.empty()) {
-      cli->path = a;
-    } else {
-      std::fprintf(stderr, "multiple stream files given\n");
-      return false;
-    }
-  }
-  if (cli->path.empty()) {
-    std::fprintf(stderr,
-                 "usage: plum-top [--once] [--interval-ms N] <scope.ndjson>\n");
-    return false;
-  }
-  if (cli->interval_ms < 50) cli->interval_ms = 50;
+/// Parses a non-negative decimal millisecond count; rejects empty, signed,
+/// trailing-junk and out-of-range text.
+bool parse_interval(const char* text, int* out) {
+  if (text[0] < '0' || text[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v > INT_MAX) return false;
+  *out = static_cast<int>(v);
   return true;
 }
 
-std::int64_t int_or(const Json* v, std::int64_t fallback) {
-  return v && v->kind() == Json::Kind::kInt ? v->as_int() : fallback;
-}
-
-double num_or(const Json* v, double fallback) {
-  if (!v || !v->is_number()) return fallback;
-  return v->kind() == Json::Kind::kInt ? static_cast<double>(v->as_int())
-                                       : v->as_double();
-}
-
-std::string str_or(const Json* v, const std::string& fallback) {
-  return v && v->is_string() ? v->as_string() : fallback;
+bool parse_cli(int argc, char** argv, Cli* cli) {
+  for (int i = 1; i < argc; ++i) {
+    const char* a = argv[i];
+    const char* interval = nullptr;
+    if (std::strcmp(a, "--once") == 0) {
+      cli->once = true;
+      continue;
+    }
+    if (std::strcmp(a, "--interval-ms") == 0 && i + 1 < argc) {
+      interval = argv[++i];
+    } else if (std::strncmp(a, "--interval-ms=", 14) == 0) {
+      interval = a + 14;
+    } else if (a[0] != '-' && cli->path.empty()) {
+      cli->path = a;
+      continue;
+    } else {
+      return false;
+    }
+    if (!parse_interval(interval, &cli->interval_ms)) {
+      std::fprintf(stderr, "bad --interval-ms value '%s'\n", interval);
+      return false;
+    }
+  }
+  cli->interval_ms = std::max(cli->interval_ms, 50);
+  return !cli->path.empty();
 }
 
 /// Latest complete record in the stream file, through the shared tail
 /// parser (obs::latest_stream_record): kRecord fills *out; kPartial means
 /// the only content is a torn/mid-write tail — skip this poll and retry;
 /// kNone means no record bytes at all yet.
-plum::obs::TailStatus latest_record(const std::string& path, Json* out) {
-  std::ifstream in(path);
-  if (!in) return plum::obs::TailStatus::kNone;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  return plum::obs::latest_stream_record(text, out);
+obs::TailStatus latest_record(const std::string& path, Json* out) {
+  std::string text;
+  if (!read_file(path, &text)) return obs::TailStatus::kNone;
+  return obs::latest_stream_record(text, out);
 }
 
 std::string bar(double fraction, int width) {
@@ -108,21 +103,14 @@ void render(const Json& rec, bool ansi) {
   if (ansi) std::printf("\x1b[H\x1b[2J");  // home + clear
 
   const Json* gate = rec.find("gate");
-  const Json* ev = gate ? gate->find("evaluated") : nullptr;
-  const Json* acc = gate ? gate->find("accepted") : nullptr;
-  const bool evaluated =
-      ev && ev->kind() == Json::Kind::kBool && ev->as_bool();
-  const bool accepted =
-      acc && acc->kind() == Json::Kind::kBool && acc->as_bool();
-
-  std::printf("plum-top — %s   cycle %lld   %lld supersteps   %lld elements\n",
+  std::printf("plum top — %s   cycle %lld   %lld supersteps   %lld elements\n",
               str_or(rec.find("name"), "(unnamed)").c_str(),
               static_cast<long long>(int_or(rec.find("cycle"), 0)),
               static_cast<long long>(int_or(rec.find("supersteps"), 0)),
               static_cast<long long>(int_or(rec.find("elements"), 0)));
   std::printf("imbalance %.4f   gate %s   cycle wall %.3fs",
               num_or(rec.find("imbalance"), 0),
-              !evaluated ? "skipped" : (accepted ? "ACCEPT" : "reject"),
+              gate ? gate_decision(*gate) : "skipped",
               num_or(rec.find("wall_s"), 0));
   if (const Json* rss = rec.find("rss")) {
     std::printf("   rss %.1f MB (hwm %.1f MB)",
@@ -166,9 +154,13 @@ void render(const Json& rec, bool ansi) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int top_main(int argc, char** argv) {
   Cli cli;
-  if (!parse_cli(argc, argv, &cli)) return 2;
+  if (!parse_cli(argc, argv, &cli)) {
+    std::fprintf(stderr,
+                 "usage: plum top [--once] [--interval-ms N] <scope.ndjson>\n");
+    return 2;
+  }
 
   bool rendered = false;
   std::int64_t last_cycle = -1;
@@ -177,8 +169,8 @@ int main(int argc, char** argv) {
   int once_retries = 10;
   for (;;) {
     Json rec;
-    const plum::obs::TailStatus st = latest_record(cli.path, &rec);
-    if (st == plum::obs::TailStatus::kRecord) {
+    const obs::TailStatus st = latest_record(cli.path, &rec);
+    if (st == obs::TailStatus::kRecord) {
       const std::int64_t cycle = int_or(rec.find("cycle"), 0);
       if (!rendered || cycle != last_cycle) {
         render(rec, /*ansi=*/!cli.once && rendered);
@@ -186,12 +178,12 @@ int main(int argc, char** argv) {
         rendered = true;
       }
     } else if (cli.once) {
-      if (st == plum::obs::TailStatus::kPartial && once_retries-- > 0) {
+      if (st == obs::TailStatus::kPartial && once_retries-- > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         continue;
       }
       std::fprintf(stderr, "%s: %s\n", cli.path.c_str(),
-                   st == plum::obs::TailStatus::kPartial
+                   st == obs::TailStatus::kPartial
                        ? "only a torn/partial trailing record"
                        : "no valid plum-scope/1 record");
       return 1;
@@ -202,3 +194,5 @@ int main(int argc, char** argv) {
   }
   return rendered ? 0 : 1;
 }
+
+}  // namespace plum::tool

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Regenerates the committed plum-diff baselines under bench/baselines/.
+# Regenerates the committed `plum diff` baselines under bench/baselines/.
 #
 # Run this (and commit the result) whenever a deliberate change shifts a
-# deterministic bench metric and CI's plum-diff regression gate reports a
+# deterministic bench metric and CI's `plum diff` regression gate reports a
 # breach. The invocation mirrors the bench-smoke CI job exactly: small
 # problem sizes, two engine threads, reports written via
 # PLUM_BENCH_JSON_DIR. Wall-clock fields in the reports differ machine to
-# machine by construction; plum-diff treats them as report-only, so the
+# machine by construction; `plum diff` treats them as report-only, so the
 # committed values are only illustrative.
 #
 # Usage: tools/regen_baselines.sh [build-dir]   (default: build-baselines)
@@ -41,10 +41,10 @@ export PLUM_BENCH_JSON_DIR="${out_dir}"
 # Weak scaling at P=64/128/256.
 "${build_dir}/bench/bench_distributed" --weak --threads 2
 
-# The benches also drop trace / run / gate / replay side files next to the
+# The benches also drop trace / run / replay side files next to the
 # reports; only the BENCH_*.json reports are baselines.
 rm -f "${out_dir}"/TRACE_*.json "${out_dir}"/RUN_*.json \
-  "${out_dir}"/GATE_*.json "${out_dir}"/REPLAY_*.json
+  "${out_dir}"/REPLAY_*.json
 
 echo "baselines:"
 ls -l "${out_dir}"
