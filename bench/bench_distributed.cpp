@@ -16,7 +16,10 @@
 //
 // Usage: bench_distributed [--weak] [--threads N] [--scope-stream FILE]
 //                          [--leak-check N]
-// Unknown arguments and malformed counts exit with status 2.
+// Unknown arguments and malformed counts exit with status 2. The leak
+// check refines every cycle, so the mesh and the RSS roughly triple per
+// cycle: on the PLUM_BENCH_SMALL=1 mesh N = 4 ends near 450 MB, and N above
+// about 4 runs out of memory.
 
 #include <cerrno>
 #include <climits>
@@ -36,6 +39,7 @@
 #include "json_report.hpp"
 #include "obs/chrome_trace.hpp"
 #include "sim/calibration.hpp"
+#include "util/rss.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -132,8 +136,11 @@ int main(int argc, char** argv) {
   // cycle repeatedly on one framework; after a warm-up (arena chunks and
   // interned phases settle) the tracked live bytes at every cycle boundary
   // must not grow — scratch dies with the cycle (DESIGN.md's scratch-memory
-  // contract). The plum-heap/1 profile is written either way so CI can
-  // upload it as the forensics artifact when the gate fails.
+  // contract). Each cycle line also prints the active elements and the
+  // process RSS: RSS follows the refining mesh (its bytes per element
+  // fall), which is growth, not a leak. The plum-heap/1 profile is written
+  // either way so CI can upload it as the forensics artifact when the gate
+  // fails.
   if (cli.leak_check > 0) {
     core::FrameworkOptions opt;
     opt.nranks = 8;
@@ -161,9 +168,13 @@ int main(int argc, char** argv) {
     for (int c = 0; c < cli.leak_check; ++c) {
       fw.cycle();
       const std::int64_t live = fw.memory().total_live_bytes();
-      std::printf("leak-check cycle %d: live %lld B (baseline %lld B)\n",
-                  kWarmup + c, static_cast<long long>(live),
-                  static_cast<long long>(baseline));
+      std::printf(
+          "leak-check cycle %d: live %lld B (baseline %lld B), %lld active "
+          "elements, rss %.1f MB\n",
+          kWarmup + c, static_cast<long long>(live),
+          static_cast<long long>(baseline),
+          static_cast<long long>(fw.dist_mesh().total_active_elements()),
+          static_cast<double>(util::read_rss().vm_rss_bytes) / 1e6);
       if (live > baseline) ok = false;
     }
     fw.dist_mesh().validate();

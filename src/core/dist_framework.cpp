@@ -1,6 +1,8 @@
 #include "core/dist_framework.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 
 #include "adapt/error_indicator.hpp"
 #include "obs/critical_path.hpp"
@@ -14,30 +16,73 @@
 
 namespace plum::core {
 
-namespace {
-
-/// Per-rank refinement seeds: active local edges with error > threshold.
-/// Shared copies mark consistently because the error field is replicated.
-std::vector<std::vector<char>> threshold_marks(
-    const pmesh::DistMesh& dm,
-    const std::vector<std::vector<double>>& err_per_rank, double threshold) {
-  // plum-scale: host-only -- host driver staging for the initial scatter, never rank-resident
-  std::vector<std::vector<char>> seeds(
+std::vector<double> gather_owned_edge_errors(
+    const pmesh::DistMesh& dm, rt::Engine& eng,
+    const std::vector<std::vector<double>>& err_per_rank) {
+  // plum-scale: host-only -- host driver gather of owned errors
+  std::vector<std::vector<double>> owned(
       static_cast<std::size_t>(dm.nranks()));
   for (Rank r = 0; r < dm.nranks(); ++r) {
     const auto& lm = dm.local(r);
-    auto& s = seeds[static_cast<std::size_t>(r)];
-    s.assign(static_cast<std::size_t>(lm.mesh.num_edges()), 0);
+    const auto& err = err_per_rank[static_cast<std::size_t>(r)];
+    auto& mine = owned[static_cast<std::size_t>(r)];
+    for (Index e = 0; e < lm.mesh.num_edges(); ++e) {
+      if (lm.mesh.edge_elements(e).empty()) continue;
+      auto it = lm.shared_edges.find(e);
+      if (it != lm.shared_edges.end()) {
+        Rank owner = r;
+        for (const auto& c : it->second) owner = std::min(owner, c.rank);
+        if (owner != r) continue;
+      }
+      mine.push_back(err[static_cast<std::size_t>(e)]);
+    }
+  }
+  const auto gathered = rt::gather(eng, owned, 0);
+  std::vector<double> all;
+  for (const auto& v : gathered) all.insert(all.end(), v.begin(), v.end());
+  return all;
+}
+
+std::optional<double> edge_threshold(std::vector<double> sample,
+                                     double fraction, MarkSide side) {
+  const auto k =
+      static_cast<std::size_t>(fraction * static_cast<double>(sample.size()));
+  if (k == 0 || sample.empty()) return std::nullopt;
+  const auto kth = sample.begin() +
+                   static_cast<std::ptrdiff_t>(std::min(k, sample.size() - 1));
+  if (side == MarkSide::kAbove) {
+    std::nth_element(sample.begin(), kth, sample.end(), std::greater<>());
+  } else {
+    std::nth_element(sample.begin(), kth, sample.end());
+  }
+  return *kth;
+}
+
+std::vector<std::vector<char>> threshold_marks(
+    const pmesh::DistMesh& dm,
+    const std::vector<std::vector<double>>& err_per_rank, double threshold,
+    MarkSide side) {
+  const bool above = side == MarkSide::kAbove;
+  // plum-scale: host-only -- host driver staging of the per-rank edge marks
+  std::vector<std::vector<char>> marks(
+      static_cast<std::size_t>(dm.nranks()));
+  for (Rank r = 0; r < dm.nranks(); ++r) {
+    const auto& lm = dm.local(r);
+    auto& m = marks[static_cast<std::size_t>(r)];
+    m.assign(static_cast<std::size_t>(lm.mesh.num_edges()), 0);
     const auto& err = err_per_rank[static_cast<std::size_t>(r)];
     for (Index e = 0; e < lm.mesh.num_edges(); ++e) {
+      const double v = err[static_cast<std::size_t>(e)];
       if (!lm.mesh.edge_elements(e).empty() &&
-          err[static_cast<std::size_t>(e)] > threshold) {
-        s[static_cast<std::size_t>(e)] = 1;
+          (above ? v > threshold : v < threshold)) {
+        m[static_cast<std::size_t>(e)] = 1;
       }
     }
   }
-  return seeds;
+  return marks;
 }
+
+namespace {
 
 /// Per-rank error fields from the parallel solution.
 std::vector<std::vector<double>> rank_errors(
@@ -146,39 +191,13 @@ DistCycleReport DistFramework::cycle() {
   if (opt_.coarsen_fraction > 0) {
     obs::PhaseScope ph(trace_, "coarsen");
     const auto cerr = rank_errors(*dm_, *solver_);
-    // Bottom-fraction threshold over owned active edges (host quantile).
-    // plum-scale: host-only -- host driver gather of owned error values
-    std::vector<std::vector<double>> owned(static_cast<std::size_t>(P));
-    for (Rank r = 0; r < P; ++r) {
-      const auto& lm = dm_->local(r);
-      for (Index e = 0; e < lm.mesh.num_edges(); ++e) {
-        if (lm.mesh.edge_elements(e).empty()) continue;
-        owned[static_cast<std::size_t>(r)].push_back(
-            cerr[static_cast<std::size_t>(r)][static_cast<std::size_t>(e)]);
-      }
-    }
-    const auto g = rt::gather(*eng_, owned, 0);
-    std::vector<double> all;
-    for (const auto& v : g) all.insert(all.end(), v.begin(), v.end());
-    std::sort(all.begin(), all.end());
-    const auto k = static_cast<std::size_t>(
-        opt_.coarsen_fraction * static_cast<double>(all.size()));
-    if (k > 0 && !all.empty()) {
-      const double low = all[std::min(k, all.size() - 1)];
-      // plum-scale: host-only -- host driver gather of coarsen marks
-      std::vector<std::vector<char>> cmarks(static_cast<std::size_t>(P));
-      for (Rank r = 0; r < P; ++r) {
-        const auto& lm = dm_->local(r);
-        auto& cm = cmarks[static_cast<std::size_t>(r)];
-        cm.assign(static_cast<std::size_t>(lm.mesh.num_edges()), 0);
-        for (Index e = 0; e < lm.mesh.num_edges(); ++e) {
-          if (!lm.mesh.edge_elements(e).empty() &&
-              cerr[static_cast<std::size_t>(r)][static_cast<std::size_t>(e)] <
-                  low) {
-            cm[static_cast<std::size_t>(e)] = 1;
-          }
-        }
-      }
+    // Bottom-fraction threshold over the owned active edges.
+    const auto low =
+        edge_threshold(gather_owned_edge_errors(*dm_, *eng_, cerr),
+                       opt_.coarsen_fraction, MarkSide::kBelow);
+    if (low) {
+      const auto cmarks =
+          threshold_marks(*dm_, cerr, *low, MarkSide::kBelow);
       save_states();
       pmesh::parallel_coarsen(*dm_, *eng_, cmarks, &states_);
       rebind_solver();
@@ -193,35 +212,13 @@ DistCycleReport DistFramework::cycle() {
   // this phase uses the explicit begin/end API rather than a scope.)
   const std::size_t mark_phase = trace_.begin_phase("mark");
   auto err = rank_errors(*dm_, *solver_);
-  // plum-scale: host-only -- host driver gather of owned errors
-  std::vector<std::vector<double>> owned_errs(static_cast<std::size_t>(P));
-  for (Rank r = 0; r < P; ++r) {
-    const auto& lm = dm_->local(r);
-    for (Index e = 0; e < lm.mesh.num_edges(); ++e) {
-      if (lm.mesh.edge_elements(e).empty()) continue;
-      auto it = lm.shared_edges.find(e);
-      if (it != lm.shared_edges.end()) {
-        Rank owner = r;
-        for (const auto& c : it->second) owner = std::min(owner, c.rank);
-        if (owner != r) continue;
-      }
-      owned_errs[static_cast<std::size_t>(r)].push_back(
-          err[static_cast<std::size_t>(r)][static_cast<std::size_t>(e)]);
-    }
-  }
-  const auto gathered = rt::gather(*eng_, owned_errs, 0);
-  std::vector<double> all_err;
-  for (const auto& v : gathered) all_err.insert(all_err.end(), v.begin(), v.end());
-  std::sort(all_err.begin(), all_err.end(), std::greater<>());
-  const auto want = static_cast<std::size_t>(
-      opt_.refine_fraction * static_cast<double>(all_err.size()));
   const double threshold =
-      (want == 0 || all_err.empty())
-          ? std::numeric_limits<double>::max()
-          : all_err[std::min(want, all_err.size() - 1)];
+      edge_threshold(gather_owned_edge_errors(*dm_, *eng_, err),
+                     opt_.refine_fraction, MarkSide::kAbove)
+          .value_or(std::numeric_limits<double>::max());
 
   // --- 3. parallel marking -----------------------------------------------------
-  auto seeds = threshold_marks(*dm_, err, threshold);
+  auto seeds = threshold_marks(*dm_, err, threshold, MarkSide::kAbove);
   auto pm = pmesh::parallel_mark(*dm_, *eng_, seeds, &mem_);
   rep.mark_comm_rounds = pm.comm_rounds;
   trace_.set_modeled_seconds(
@@ -285,7 +282,7 @@ DistCycleReport DistFramework::cycle() {
     // Re-derive the marks on the new distribution (deterministic: same
     // states, same threshold => the same global mark set).
     err = rank_errors(*dm_, *solver_);
-    seeds = threshold_marks(*dm_, err, threshold);
+    seeds = threshold_marks(*dm_, err, threshold, MarkSide::kAbove);
     pm = pmesh::parallel_mark(*dm_, *eng_, seeds, &mem_);
     // Measured data movement: the bytes the migration really packed and
     // sent through the engine.
@@ -390,7 +387,7 @@ DistCycleReport DistFramework::cycle() {
       ranks_json.push(std::move(rj));
     }
     rec_json.set("ranks", std::move(ranks_json));
-    // Coordinator RSS for plum-top's live memory column (wall-class).
+    // Coordinator RSS for `plum top`'s live memory column (wall-class).
     rec_json.set("rss", obs::rss_json());
     stream_->append(rec_json);
   }

@@ -19,6 +19,7 @@
 // ledger records the true communication pattern of one adaption cycle.
 
 #include <memory>
+#include <optional>
 
 #include "core/framework.hpp"
 #include "obs/scope.hpp"
@@ -36,6 +37,36 @@ struct DistCycleReport : GateReport {
   /// remap-before-subdivision path accepted.
   std::vector<Index> refine_work_per_rank;
 };
+
+// --- error thresholds of the coarsen and mark phases -------------------------
+// Both phases agree on their threshold through one host quantile over the
+// error of every global active edge, counted once, then mark the local
+// copies against it.
+
+/// The error values of all active edges, each once: rank r contributes the
+/// active local edges it owns (lowest SPL rank) in local edge order, and
+/// the host (rank 0) receives them through rt::gather, concatenated in rank
+/// order.
+std::vector<double> gather_owned_edge_errors(
+    const pmesh::DistMesh& dm, rt::Engine& eng,
+    const std::vector<std::vector<double>>& err_per_rank);
+
+enum class MarkSide { kAbove, kBelow };
+
+/// The threshold that puts the top (kAbove: refinement) or bottom (kBelow:
+/// coarsening) `fraction` of the sample past it: element floor(fraction *
+/// n) of the sample sorted high to low, or low to high. None (nothing is
+/// marked) when that index is 0.
+std::optional<double> edge_threshold(std::vector<double> sample,
+                                     double fraction, MarkSide side);
+
+/// Per-rank marks on the active local edges whose error is strictly above
+/// (refinement) or below (coarsening) `threshold`. Shared copies mark
+/// consistently because the error field is replicated.
+std::vector<std::vector<char>> threshold_marks(
+    const pmesh::DistMesh& dm,
+    const std::vector<std::vector<double>>& err_per_rank, double threshold,
+    MarkSide side);
 
 class DistFramework {
  public:

@@ -59,16 +59,16 @@ struct FrameworkOptions {
   /// Per-rank capacity of the always-on flight-recorder ring
   /// (obs::FlightRecorder; DistFramework only). Oldest events are
   /// overwritten, so this bounds both memory and postmortem size.
-  int scope_ring_capacity = 256;
+  static constexpr int scope_ring_capacity = 256;
   /// Non-empty: append one plum-scope/1 NDJSON record per cycle to this
   /// file (per-rank busy/wait, gate verdict, imbalance, coordinator RSS).
-  /// tools/plum-top tails it for a live view. DistFramework only.
+  /// `plum top` (tools/plum) tails it for a live view. DistFramework only.
   std::string scope_stream;
   /// Chunk size of the per-row plum-mem scratch arenas (obs::MemoryTracker).
   /// Phase scratch buffers (HEM matching, KL-FM refine, remap staging,
-  /// subdivision snapshots) bump-allocate from these; smaller chunks stress
-  /// the overflow path, larger ones amortize chunk requests.
-  std::size_t arena_chunk_bytes = obs::Arena::kDefaultChunkBytes;
+  /// subdivision snapshots) bump-allocate from these.
+  static constexpr std::size_t arena_chunk_bytes =
+      obs::Arena::kDefaultChunkBytes;
 };
 
 }  // namespace plum::core

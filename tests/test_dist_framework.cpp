@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -12,10 +13,12 @@
 #include <sstream>
 #include <vector>
 
+#include "adapt/adaptor.hpp"
 #include "core/dist_framework.hpp"
 #include "mesh/box_mesh.hpp"
 #include "obs/gate_audit.hpp"
 #include "obs/scope.hpp"
+#include "pmesh/finalize.hpp"
 #include "runtime/engine.hpp"
 #include "solver/init_conditions.hpp"
 #include "util/stats.hpp"
@@ -304,6 +307,64 @@ TEST(DistFramework, CoarseningPhaseRuns) {
   for (Rank r = 0; r < opt.nranks; ++r) {
     for (const auto& s : fw.solver().solution(r)) EXPECT_GT(s[0], 0.0);
   }
+}
+
+// The coarsen and mark thresholds sample every global active edge once, at
+// its owner, so with an error field that depends only on edge geometry both
+// thresholds are independent of P.
+TEST(DistFramework, ThresholdSampleHoldsEachActiveEdgeOnce) {
+  auto global = mesh::make_box_mesh(mesh::small_box(3));
+  adapt::MeshAdaptor ad(&global);
+  std::vector<char> gmarks(static_cast<std::size_t>(global.num_edges()), 0);
+  for (Index e = 0; e < global.num_edges(); e += 5) {
+    gmarks[static_cast<std::size_t>(e)] = 1;
+  }
+  ad.mark(gmarks);
+  ad.refine();  // inactive parent edges must stay out of the sample
+
+  std::vector<double> ref_sorted;
+  double ref_refine = 0;
+  double ref_coarsen = 0;
+  for (const Rank P : {1, 3, 7}) {
+    partition::PartVec part(
+        static_cast<std::size_t>(global.num_initial_elements()));
+    for (std::size_t t = 0; t < part.size(); ++t) {
+      part[t] = static_cast<Rank>(t % static_cast<std::size_t>(P));
+    }
+    pmesh::DistMesh dm(global, part, P);
+    rt::Engine eng(P);
+    std::vector<std::vector<double>> err(static_cast<std::size_t>(P));
+    for (Rank r = 0; r < P; ++r) {
+      const auto& m = dm.local(r).mesh;
+      for (Index e = 0; e < m.num_edges(); ++e) {
+        const auto& ed = m.edge(e);
+        // Twice the midpoint: exact, and the same on every copy.
+        const auto c = m.vertex(ed.v0).pos + m.vertex(ed.v1).pos;
+        err[static_cast<std::size_t>(r)].push_back(
+            std::sin(3.0 * c.x) + c.y * c.y - 0.5 * c.z);
+      }
+    }
+
+    auto sample = gather_owned_edge_errors(dm, eng, err);
+    EXPECT_EQ(static_cast<Index>(sample.size()),
+              pmesh::finalize_gather(dm, eng).global.num_active_edges())
+        << "P = " << P;
+    const auto refine = edge_threshold(sample, 0.1, MarkSide::kAbove);
+    const auto coarsen = edge_threshold(sample, 0.3, MarkSide::kBelow);
+    ASSERT_TRUE(refine.has_value());
+    ASSERT_TRUE(coarsen.has_value());
+    std::sort(sample.begin(), sample.end());
+    if (P == 1) {
+      ref_sorted = sample;
+      ref_refine = *refine;
+      ref_coarsen = *coarsen;
+      continue;
+    }
+    EXPECT_EQ(sample, ref_sorted) << "P = " << P;
+    EXPECT_EQ(*refine, ref_refine) << "P = " << P;
+    EXPECT_EQ(*coarsen, ref_coarsen) << "P = " << P;
+  }
+  EXPECT_LT(ref_coarsen, ref_refine);
 }
 
 // The shared balance gate prices MaxV with the machine's alpha/beta, in the

@@ -151,7 +151,7 @@ TEST(ScaleFixtures, DenseRankContainerExactCounts) {
   // 6 rank-count-sized containers, 2 acknowledged by annotations; the
   // verbatim dense CommMatrix idiom contributes the two P*P products.
   EXPECT_EQ(r.count_of("dense-rank-container", true), 6)
-      << plumlint::scale_to_json(r);
+      << plumlint::to_json(r);
   EXPECT_EQ(r.count_of("dense-rank-container"), 4);
   EXPECT_EQ(r.count_of("bad-annotation"), 2);
   EXPECT_EQ(r.count_of("unused-annotation"), 1);
@@ -169,7 +169,7 @@ TEST(ScaleFixtures, ReplicatedGlobalStateExactCounts) {
   const LintResult r = plumlint::scale_files({fixture_input(
       "replicated_state.cpp")});
   EXPECT_EQ(r.count_of("replicated-global-state", true), 2)
-      << plumlint::scale_to_json(r);
+      << plumlint::to_json(r);
   EXPECT_EQ(r.count_of("replicated-global-state"), 1);
   EXPECT_EQ(r.suppressed_count(), 1);
   // The non-replicated GlobalDirectory must contribute nothing.
@@ -183,7 +183,7 @@ TEST(ScaleFixtures, InterproceduralNeedsTheCrossFileIndex) {
   const LintResult both = plumlint::scale_files(
       {fixture_input("helpers_tu.cpp"), fixture_input("superstep_tu.cpp")});
   EXPECT_EQ(both.count_of("interprocedural-superstep-mutation"), 2)
-      << plumlint::scale_to_json(both);
+      << plumlint::to_json(both);
 
   // ...and input order cannot matter (the index is built before checks).
   const LintResult swapped = plumlint::scale_files(
@@ -203,7 +203,7 @@ TEST(ScaleFixtures, ScratchAnnotationExactCounts) {
   // 3 rank-sized containers: one acknowledged by `scratch`, one plain, one
   // next to a justification-less scratch (malformed, so not suppressed).
   EXPECT_EQ(r.count_of("dense-rank-container", true), 3)
-      << plumlint::scale_to_json(r);
+      << plumlint::to_json(r);
   EXPECT_EQ(r.count_of("dense-rank-container"), 2);
   EXPECT_EQ(r.count_of("bad-annotation"), 1);
   // scratch is declarative: the marker on the non-diagnostic line in
@@ -220,12 +220,12 @@ TEST(ScaleFixtures, WholeDirectoryTotals) {
   EXPECT_EQ(r.count_of("interprocedural-superstep-mutation", true), 2);
   EXPECT_EQ(r.count_of("bad-annotation", true), 3);
   EXPECT_EQ(r.count_of("unused-annotation", true), 1);
-  EXPECT_EQ(r.suppressed_count(), 4) << plumlint::scale_to_json(r);
+  EXPECT_EQ(r.suppressed_count(), 4) << plumlint::to_json(r);
 }
 
 TEST(ScaleFixtures, JsonReportCarriesScaleCounts) {
   const LintResult r = plumlint::scale_files(all_fixtures());
-  const std::string json = plumlint::scale_to_json(r);
+  const std::string json = plumlint::to_json(r);
   EXPECT_NE(json.find("\"dense-rank-container\": 9"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"replicated-global-state\": 2"), std::string::npos);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "lexer.hpp"
+#include "scale.hpp"
 #include "token_util.hpp"
 
 namespace plumlint {
@@ -635,11 +636,13 @@ std::string to_json(const LintResult& result) {
      << ",\n  \"suppressed\": " << result.suppressed_count()
      << ",\n  \"counts\": {";
   bool first = true;
-  for (const auto& c : checks()) {
-    if (!first) os << ", ";
-    first = false;
-    json_escape(os, c.name);
-    os << ": " << result.count_of(c.name, /*include_suppressed=*/true);
+  for (const auto* table : {&checks(), &scale_checks()}) {
+    for (const auto& c : *table) {
+      if (!first) os << ", ";
+      first = false;
+      json_escape(os, c.name);
+      os << ": " << result.count_of(c.name, /*include_suppressed=*/true);
+    }
   }
   os << "},\n  \"diagnostics\": [";
   for (std::size_t i = 0; i < result.diagnostics.size(); ++i) {

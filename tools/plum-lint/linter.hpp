@@ -103,7 +103,9 @@ LintResult lint_files(const std::vector<FileInput>& files);
 /// Convenience wrapper for one in-memory source (tests, fixtures).
 LintResult lint_source(const std::string& path, const std::string& content);
 
-/// Serializes a result to a JSON document (machine-readable report).
+/// Serializes a result of either pass, or of both merged, to a JSON
+/// document (machine-readable report). `counts` lists every check of both
+/// tables, checks() first, then scale_checks().
 std::string to_json(const LintResult& result);
 
 }  // namespace plumlint

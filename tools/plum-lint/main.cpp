@@ -1,5 +1,7 @@
-// plum-lint CLI: lints the given files/directories and exits 0 only when
-// no unsuppressed diagnostics remain. See linter.hpp for the check set.
+// plum-lint CLI: runs both static-analysis passes over one file set — the
+// rank-safety & determinism checks (linter.hpp) and the project-wide
+// replicated-state & scalability analysis (scale.hpp) — and exits 0 only
+// when neither leaves an unsuppressed diagnostic.
 //
 //   plum-lint [--json report.json] [--quiet] [--list-checks] <path>...
 //
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "linter.hpp"
+#include "scale.hpp"
 
 namespace fs = std::filesystem;
 
@@ -58,8 +61,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--list-checks") {
-      for (const auto& c : plumlint::checks()) {
-        std::printf("%-22s %s\n", c.name, c.summary);
+      for (const auto* table : {&plumlint::checks(), &plumlint::scale_checks()}) {
+        for (const auto& c : *table) {
+          std::printf("%-36s %s\n", c.name, c.summary);
+        }
       }
       return 0;
     } else if (arg == "--help" || arg == "-h") {
@@ -99,7 +104,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  const plumlint::LintResult result = plumlint::lint_files(files);
+  // One report: the scale pass's diagnostics join the lint pass's.
+  plumlint::LintResult result = plumlint::lint_files(files);
+  const plumlint::LintResult scale = plumlint::scale_files(files);
+  result.diagnostics.insert(result.diagnostics.end(),
+                            scale.diagnostics.begin(),
+                            scale.diagnostics.end());
+  std::sort(result.diagnostics.begin(), result.diagnostics.end());
 
   if (!quiet) {
     for (const auto& d : result.diagnostics) {

@@ -67,7 +67,4 @@ LintResult scale_files(const std::vector<FileInput>& files,
 /// Convenience wrapper for one in-memory source.
 LintResult scale_source(const std::string& path, const std::string& content);
 
-/// JSON report in the same shape as plum-lint's, with scale check counts.
-std::string scale_to_json(const LintResult& result);
-
 }  // namespace plumlint

@@ -60,6 +60,7 @@ void print_comm_matrix(const Json& cm) {
     std::printf(" %10lld", static_cast<long long>(to));
   }
   std::printf(" %12s\n", "row_sum");
+  // plum-scale: host-only -- column totals of a report table printed by the host tool
   std::vector<std::int64_t> col_sums(static_cast<std::size_t>(nranks), 0);
   std::int64_t total = 0;
   for (std::size_t from = 0; from < bytes->size(); ++from) {
