@@ -18,11 +18,9 @@
 //                          [--leak-check N]
 // Unknown arguments and malformed counts exit with status 2. The leak
 // check refines every cycle, so the mesh and the RSS roughly triple per
-// cycle: on the PLUM_BENCH_SMALL=1 mesh N = 4 ends near 450 MB, and N above
+// cycle: on the PLUM_BENCH_SMALL=1 mesh N = 4 ends near 370 MB, and N above
 // about 4 runs out of memory.
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +31,7 @@
 
 #include <cmath>
 
+#include "cli.hpp"
 #include "common.hpp"
 #include "core/dist_framework.hpp"
 #include "io/table.hpp"
@@ -61,36 +60,9 @@ constexpr const char* kUsage =
     "usage: bench_distributed [--weak] [--threads N] [--scope-stream FILE] "
     "[--leak-check N]\n";
 
-/// Parses a non-negative decimal count; rejects empty, signed, trailing
-/// garbage and out-of-range text (atoi would turn "abc" into 0 = all cores).
-bool parse_count(const char* text, int* out) {
-  if (text[0] < '0' || text[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(text, &end, 10);
-  if (errno != 0 || *end != '\0' || v > INT_MAX) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-/// Returns the value of `--name VALUE` / `--name=VALUE` at argv[*i]
-/// (advancing *i past a separate VALUE), or nullptr when argv[*i] is not
-/// that flag. *missing is set when the flag has no value.
-const char* flag_value(const char* name, int argc, char** argv, int* i,
-                       bool* missing) {
-  const char* a = argv[*i];
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(a, name, n) != 0) return nullptr;
-  if (a[n] == '=') return a + n + 1;
-  if (a[n] != '\0') return nullptr;
-  if (*i + 1 >= argc) {
-    *missing = true;
-    return nullptr;
-  }
-  return argv[++*i];
-}
-
 bool parse_cli(int argc, char** argv, Cli* cli) {
+  using plum::bench::flag_value;
+  using plum::bench::parse_count;
   for (int i = 1; i < argc; ++i) {
     bool missing = false;
     const char* v = nullptr;

@@ -12,12 +12,17 @@
 //
 //   ./bench_micro --threads 1 --benchmark_filter='Bsp|ParallelSolver'
 //   ./bench_micro --threads 8 --benchmark_filter='Bsp|ParallelSolver'
+//
+// A malformed or missing count (`--threads abc`, `--threads -3`) exits with
+// status 2 and a usage line.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
 
 #include "adapt/adaptor.hpp"
+#include "cli.hpp"
 #include "json_report.hpp"
 #include "obs/memory.hpp"
 #include "obs/scope.hpp"
@@ -449,14 +454,19 @@ BENCHMARK(BM_Subdivision);
 // Custom main: strip our --threads flag before handing the rest to
 // google-benchmark (it rejects flags it does not know).
 int main(int argc, char** argv) {
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      g_threads = std::atoi(argv[i] + 10);
-    } else {
+  std::vector<char*> args{argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    bool missing = false;
+    const char* v = plum::bench::flag_value("--threads", argc, argv, &i,
+                                            &missing);
+    if (v == nullptr && !missing) {
       args.push_back(argv[i]);
+    } else if (v == nullptr || !plum::bench::parse_count(v, &g_threads)) {
+      std::fprintf(stderr, "bad or missing --threads value '%s'\n",
+                   v != nullptr ? v : "");
+      std::fputs("usage: bench_micro [--threads N] [--benchmark_* ...]\n",
+                 stderr);
+      return 2;
     }
   }
   int bench_argc = static_cast<int>(args.size());

@@ -47,6 +47,8 @@ CoarsenStats coarsen_mesh(
   const std::vector<char> marks = effective_marks(mesh, marks_in);
 
   // --- 1. Remove sibling groups, deepest level first -----------------------
+  // Leaf status changes here without touching the edge->element table; the
+  // compaction in step 3 rebuilds it, so nothing below reads it before then.
   std::int8_t max_level = 0;
   for (Index t = 0; t < mesh.num_elements(); ++t) {
     max_level = std::max(max_level, mesh.element(t).level);
@@ -87,14 +89,12 @@ CoarsenStats coarsen_mesh(
 
       for (int c = 0; c < par.num_children; ++c) {
         const Index child = par.first_child + c;
-        mesh.remove_from_leaf_lists(child);
         mesh.element(child).alive = false;
         ++stats.elements_removed;
       }
       par.first_child = kInvalidIndex;
       par.num_children = 0;
       par.subdiv_type = 0;
-      mesh.add_to_leaf_lists(p);
       ++stats.groups_removed;
       ++stats.parents_reinstated;
     }

@@ -133,6 +133,16 @@ RefineStats refine_mesh(mesh::TetMesh& mesh, const MarkingResult& marks,
                         const obs::MemScratch& scratch) {
   RefineStats stats;
 
+  // 0. The marks predict the new mesh exactly: one midpoint per leaf marked
+  //    edge and children_of(t) children per element, so the vertex and
+  //    element arrays grow to their final size in one step.
+  Index new_vertices = 0;
+  for (Index e : marks.marked_edges) {
+    if (mesh.edge(e).is_leaf()) ++new_vertices;
+  }
+  mesh.reserve(mesh.num_vertices() + new_vertices,
+               mesh.num_elements() + marks.predicted_new_elements(mesh));
+
   // 1. Bisect every marked edge (once, globally shared).
   for (Index e : marks.marked_edges) {
     if (mesh.edge(e).is_leaf()) {
@@ -160,7 +170,6 @@ RefineStats refine_mesh(mesh::TetMesh& mesh, const MarkingResult& marks,
     PLUM_ASSERT(pc.valid);
     if (pc.type == SubdivType::kNone) continue;
 
-    mesh.remove_from_leaf_lists(t);
     switch (pc.type) {
       case SubdivType::kOneToTwo: subdivide_1to2(mesh, t, pc.edge); break;
       case SubdivType::kOneToFour: subdivide_1to4(mesh, t, pc.face); break;
@@ -178,6 +187,11 @@ RefineStats refine_mesh(mesh::TetMesh& mesh, const MarkingResult& marks,
   for (Index f = 0; f < nf; ++f) {
     if (!mesh.bface(f).alive || !mesh.bface(f).is_leaf()) continue;
     if (subdivide_bface(mesh, f) > 0) ++stats.bfaces_refined;
+  }
+
+  // 4. One edge->element table rebuild for the whole batch.
+  if (stats.edges_bisected > 0 || stats.elements_refined > 0) {
+    mesh.rebuild_leaf_table();
   }
   return stats;
 }

@@ -111,7 +111,7 @@ TetMesh TetMesh::from_cells(std::vector<Vec3> vertices,
   m.n_init_elems_ = static_cast<Index>(m.elements_.size());
   m.n_init_edges_ = static_cast<Index>(m.edges_.size());
 
-  for (Index t = 0; t < m.n_init_elems_; ++t) m.add_to_leaf_lists(t);
+  m.rebuild_leaf_table();
 
   // Boundary faces: faces touched by exactly one element.
   std::vector<FaceRec> faces;
@@ -169,11 +169,7 @@ TetMesh TetMesh::assemble(std::vector<Vertex> vertices,
   for (Index e = 0; e < m.num_edges(); ++e) {
     m.edge_map_.insert(m.edges_[e].v0, m.edges_[e].v1, e);
   }
-  m.e2elem_.assign(m.edges_.size(), {});
-  for (Index t = 0; t < m.num_elements(); ++t) {
-    const Element& el = m.elements_[t];
-    if (el.alive && el.is_leaf()) m.add_to_leaf_lists(t);
-  }
+  m.rebuild_leaf_table();
   return m;
 }
 
@@ -186,9 +182,10 @@ Index TetMesh::num_active_elements() const {
 }
 
 Index TetMesh::num_active_edges() const {
+  PLUM_ASSERT_MSG(!leaf_table_stale_, "edge->element table is stale");
   Index n = 0;
-  for (const auto& lst : e2elem_) {
-    if (!lst.empty()) ++n;
+  for (Index e = 0; e < num_edges(); ++e) {
+    if (leaf_offsets_[e + 1] > leaf_offsets_[e]) ++n;
   }
   return n;
 }
@@ -214,6 +211,11 @@ std::vector<Index> TetMesh::active_elements() const {
   return out;
 }
 
+void TetMesh::reserve(Index n_vertices, Index n_elements) {
+  vertices_.reserve(static_cast<std::size_t>(n_vertices));
+  elements_.reserve(static_cast<std::size_t>(n_elements));
+}
+
 Index TetMesh::add_vertex(const Vec3& pos, bool boundary) {
   vertices_.push_back(Vertex{pos, boundary, true});
   return static_cast<Index>(vertices_.size()) - 1;
@@ -230,8 +232,8 @@ Index TetMesh::find_or_add_edge(Index v0, Index v1, int level, bool boundary) {
   e.boundary = boundary;
   const Index id = static_cast<Index>(edges_.size());
   edges_.push_back(e);
-  e2elem_.emplace_back();
   edge_map_.insert(e.v0, e.v1, id);
+  leaf_table_stale_ = true;
   return id;
 }
 
@@ -284,23 +286,33 @@ Index TetMesh::add_child_element(Index parent,
                                    par.level + 1, false);
   }
   elements_.push_back(el);
-  add_to_leaf_lists(id);
+  leaf_table_stale_ = true;
   return id;
 }
 
-void TetMesh::remove_from_leaf_lists(Index elem) {
-  for (Index e : elements_[elem].edges) {
-    auto& lst = e2elem_[static_cast<std::size_t>(e)];
-    auto it = std::find(lst.begin(), lst.end(), elem);
-    PLUM_ASSERT(it != lst.end());
-    lst.erase(it);
+void TetMesh::rebuild_leaf_table() {
+  // Count each edge's leaves into off[e + 2], prefix-sum so off[e + 1] is
+  // the start of edge e, then place with off[e + 1]++: afterwards off[e + 1]
+  // is the end of edge e, i.e. the start of edge e + 1, with no cursor array.
+  const auto ne = static_cast<std::size_t>(num_edges());
+  std::vector<Index>& off = leaf_offsets_;
+  off.assign(ne + 2, 0);
+  for (const Element& el : elements_) {
+    if (!el.alive || !el.is_leaf()) continue;
+    for (Index e : el.edges) ++off[static_cast<std::size_t>(e) + 2];
   }
-}
-
-void TetMesh::add_to_leaf_lists(Index elem) {
-  for (Index e : elements_[elem].edges) {
-    e2elem_[static_cast<std::size_t>(e)].push_back(elem);
+  for (std::size_t i = 2; i < off.size(); ++i) off[i] += off[i - 1];
+  leaf_elems_.resize(static_cast<std::size_t>(off.back()));
+  for (Index t = 0; t < num_elements(); ++t) {
+    const Element& el = elements_[t];
+    if (!el.alive || !el.is_leaf()) continue;
+    for (Index e : el.edges) {
+      Index& next = off[static_cast<std::size_t>(e) + 1];
+      leaf_elems_[static_cast<std::size_t>(next++)] = t;
+    }
   }
+  off.pop_back();
+  leaf_table_stale_ = false;
 }
 
 Index TetMesh::add_child_bface(Index parent, const std::array<Index, 3>& v) {
@@ -354,12 +366,10 @@ std::vector<Index> TetMesh::purge_and_compact() {
     }
     vertices_ = std::move(nv);
   }
-  // Edges + e2elem.
+  // Edges.
   {
     std::vector<Edge> ne;
-    std::vector<std::vector<Index>> nlist;
     ne.reserve(edges_.size());
-    nlist.reserve(edges_.size());
     for (std::size_t i = 0; i < edges_.size(); ++i) {
       if (!edges_[i].alive) continue;
       Edge e = edges_[i];
@@ -379,15 +389,8 @@ std::vector<Index> TetMesh::purge_and_compact() {
         e.mid = kInvalidIndex;
       }
       ne.push_back(e);
-      std::vector<Index> lst = std::move(e2elem_[i]);
-      for (auto& t : lst) {
-        t = tmap[t];
-        PLUM_ASSERT(t != kInvalidIndex);
-      }
-      nlist.push_back(std::move(lst));
     }
     edges_ = std::move(ne);
-    e2elem_ = std::move(nlist);
   }
   // Elements.
   {
@@ -446,6 +449,7 @@ std::vector<Index> TetMesh::purge_and_compact() {
   for (Index e = 0; e < num_edges(); ++e) {
     edge_map_.insert(edges_[e].v0, edges_[e].v1, e);
   }
+  rebuild_leaf_table();
 
   // Invert the vertex map (old->new) into new->old for solution arrays.
   std::vector<Index> new_to_old(vertices_.size(), kInvalidIndex);
@@ -526,7 +530,8 @@ void TetMesh::validate() const {
       }
     }
   }
-  // e2elem lists must contain exactly the alive leaves referencing the edge.
+  // Edge->element lists must hold exactly the alive leaves referencing the
+  // edge, each once, in increasing id order.
   std::vector<Index> expect(static_cast<std::size_t>(num_edges()), 0);
   for (Index t = 0; t < num_elements(); ++t) {
     const Element& el = elements_[t];
@@ -534,10 +539,15 @@ void TetMesh::validate() const {
     for (Index e : el.edges) ++expect[static_cast<std::size_t>(e)];
   }
   for (Index e = 0; e < num_edges(); ++e) {
-    PLUM_ASSERT_MSG(static_cast<Index>(e2elem_[e].size()) == expect[e],
+    const std::span<const Index> lst = edge_elements(e);
+    PLUM_ASSERT_MSG(static_cast<Index>(lst.size()) == expect[e],
                     "stale edge->element list");
-    for (Index t : e2elem_[e]) {
-      PLUM_ASSERT(elements_[t].alive && elements_[t].is_leaf());
+    for (std::size_t i = 0; i < lst.size(); ++i) {
+      const Element& el = elements_[lst[i]];
+      PLUM_ASSERT(el.alive && el.is_leaf());
+      PLUM_ASSERT(std::ranges::find(el.edges, e) != el.edges.end());
+      PLUM_ASSERT_MSG(i == 0 || lst[i - 1] < lst[i],
+                      "edge->element list not strictly increasing");
     }
   }
   // Bisected edges: children join through the midpoint.

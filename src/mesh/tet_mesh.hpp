@@ -11,6 +11,12 @@
 // their ids forever. That stability is what lets the dual graph of the
 // initial mesh (src/graph/dual.hpp) survive any number of adaptions.
 //
+// The edge->element lists of §3 are one flat CSR table over the leaf
+// elements (offsets per edge + one element array, like graph::Csr), rebuilt
+// once at the end of each mutation batch — from_cells, assemble,
+// purge_and_compact and adapt::refine_mesh — rather than patched one
+// element at a time. Mutators mark it stale; reading it stale aborts.
+//
 // TetMesh owns topology bookkeeping only; the adaption *algorithms*
 // (marking, pattern upgrade, subdivision, coarsening) live in src/adapt.
 
@@ -73,10 +79,14 @@ class TetMesh {
   [[nodiscard]] const BFace& bface(Index f) const { return bfaces_[f]; }
   [[nodiscard]] BFace& bface(Index f) { return bfaces_[f]; }
 
-  /// Alive leaf elements sharing edge `e` ("each edge has a list of all the
-  /// elements that share it" — the search-eliminating lists of §3).
-  [[nodiscard]] const std::vector<Index>& edge_elements(Index e) const {
-    return e2elem_[static_cast<std::size_t>(e)];
+  /// Alive leaf elements sharing edge `e`, in increasing id order ("each
+  /// edge has a list of all the elements that share it" — the
+  /// search-eliminating lists of §3). The table must be current.
+  [[nodiscard]] std::span<const Index> edge_elements(Index e) const {
+    PLUM_ASSERT_MSG(!leaf_table_stale_, "edge->element table is stale");
+    const auto b = static_cast<std::size_t>(leaf_offsets_[e]);
+    const auto n = static_cast<std::size_t>(leaf_offsets_[e + 1]) - b;
+    return {leaf_elems_.data() + b, n};
   }
 
   /// Edge id joining v0,v1 or kInvalidIndex.
@@ -90,35 +100,40 @@ class TetMesh {
   /// Adds a vertex; returns its id.
   Index add_vertex(const Vec3& pos, bool boundary);
 
+  /// Makes room for `n_vertices` vertices and `n_elements` elements in
+  /// total, so a batch whose growth is known up front never reallocates.
+  void reserve(Index n_vertices, Index n_elements);
+
   /// Finds the edge (v0,v1), creating it (with the given level/boundary
-  /// flags) if absent. New edges start with an empty element list.
+  /// flags) if absent. Creating an edge marks the edge->element table
+  /// stale.
   Index find_or_add_edge(Index v0, Index v1, int level, bool boundary);
 
   /// Bisects edge `e`: creates the midpoint vertex and the two child edges
   /// (idempotent — returns existing midpoint if already bisected). Fires the
-  /// on_bisect hook for solution interpolation.
+  /// on_bisect hook for solution interpolation. Marks the edge->element
+  /// table stale.
   Index bisect_edge(Index e);
 
   /// Creates a child element of `parent` with the given vertices. Edges are
-  /// found-or-created at level parent.level+1; e2elem lists are updated.
-  /// Children of one parent must be created consecutively.
+  /// found-or-created at level parent.level+1. Children of one parent must
+  /// be created consecutively. Marks the edge->element table stale until
+  /// the batch ends with rebuild_leaf_table().
   Index add_child_element(Index parent, const std::array<Index, 4>& verts);
 
-  /// Removes `elem` from the leaf set (called right before its children are
-  /// added, or when coarsening removes it). Updates e2elem.
-  void remove_from_leaf_lists(Index elem);
-
-  /// Re-inserts a reinstated parent into the leaf lists of its edges.
-  void add_to_leaf_lists(Index elem);
+  /// Rebuilds the edge->element table from the alive leaf elements (one
+  /// counting pass, lists in increasing element id). O(#elements).
+  void rebuild_leaf_table();
 
   /// Boundary-face management mirrors element refinement.
   Index add_child_bface(Index parent, const std::array<Index, 3>& verts);
 
   /// Deletes everything flagged dead (alive == false), compacts all arrays
   /// preserving order, rewrites all cross-references and rebuilds the edge
-  /// map. Initial-mesh entities keep their ids (they are never dead).
-  /// Returns the vertex renumbering as new-id -> old-id (what a per-vertex
-  /// solution array needs to follow the compaction).
+  /// map and the edge->element table. Initial-mesh entities keep their ids
+  /// (they are never dead). Returns the vertex renumbering as new-id ->
+  /// old-id (what a per-vertex solution array needs to follow the
+  /// compaction).
   std::vector<Index> purge_and_compact();
 
   /// Assembles a mesh from fully-specified, locally-indexed entity records
@@ -191,7 +206,11 @@ class TetMesh {
   std::vector<Edge> edges_;
   std::vector<Element> elements_;
   std::vector<BFace> bfaces_;
-  std::vector<std::vector<Index>> e2elem_;  // leaf elements per edge
+  // Edge->leaf-element table (CSR): the elements of edge e are
+  // leaf_elems_[leaf_offsets_[e] .. leaf_offsets_[e + 1]).
+  std::vector<Index> leaf_offsets_{0};
+  std::vector<Index> leaf_elems_;
+  bool leaf_table_stale_ = false;
   EdgeMap edge_map_;
   Index n_init_elems_ = 0;
   Index n_init_edges_ = 0;

@@ -165,13 +165,9 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
   // plum-scale: dist(P) -- driver output: per-rank work accounting
   out.work_per_rank.assign(static_cast<std::size_t>(P), 0);
 
-  // Pre-subdivision snapshots, taken by each rank in phase 1, step 0.
+  // Pre-subdivision snapshot, taken by each rank in phase 1, step 0.
   // plum-scale: dist(P) -- per-rank snapshot of pre-adaptation edge counts
   std::vector<Index> old_ne(static_cast<std::size_t>(P));
-  // Iterated below to build BisectMsg batches: must stay an ordered map so
-  // the message payload order matches the sequential engine bit for bit.
-  // plum-scale: dist(P) -- per-rank snapshot of the pre-adaptation edge SPLs
-  std::vector<SplMap> old_edge_spl(static_cast<std::size_t>(P));
 
   // Per-rank tallies of new shared-object records (summed after the runs;
   // a shared counter would race under the parallel engine).
@@ -191,7 +187,6 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
       const obs::MemScratch ms =
           mem != nullptr ? mem->scratch(r) : obs::MemScratch{};
       old_ne[static_cast<std::size_t>(r)] = lm.mesh.num_edges();
-      old_edge_spl[static_cast<std::size_t>(r)] = lm.shared_edges;
       auto& stats = out.per_rank[static_cast<std::size_t>(r)];
       stats = adapt::refine_mesh(
           lm.mesh, marks.per_rank[static_cast<std::size_t>(r)], ms);
@@ -202,7 +197,10 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
           static_cast<std::size_t>(P),
           obs::TrackedVec<BisectMsg>{obs::TrackingAllocator<BisectMsg>{ms}},
           obs::TrackingAllocator<obs::TrackedVec<BisectMsg>>{ms});
-      for (const auto& [e, spl] : old_edge_spl[static_cast<std::size_t>(r)]) {
+      // refine_mesh leaves the SPLs alone, so they still list exactly the
+      // pre-subdivision shared edges; the ordered map fixes the BisectMsg
+      // payload order on every engine.
+      for (const auto& [e, spl] : lm.shared_edges) {
         const auto& ed = lm.mesh.edge(e);
         // Bisected this round: children are fresh edge ids.
         if (ed.is_leaf() ||
@@ -261,10 +259,21 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
           obs::TrackedVec<FaceEdgeMsg>{
               obs::TrackingAllocator<FaceEdgeMsg>{ms}},
           obs::TrackingAllocator<obs::TrackedVec<FaceEdgeMsg>>{ms});
+      // Dense "is shared" flags, so only edges with both endpoints shared
+      // pay for the two SPL lookups.
+      std::vector<char> vert_shared(
+          static_cast<std::size_t>(lm.mesh.num_vertices()), 0);
+      for (const auto& kv : lm.shared_verts) {
+        vert_shared[static_cast<std::size_t>(kv.first)] = 1;
+      }
       for (Index e = old_ne[static_cast<std::size_t>(r)];
            e < lm.mesh.num_edges(); ++e) {
         const auto& ed = lm.mesh.edge(e);
         if (ed.parent != kInvalidIndex) continue;  // child edges: phase 1
+        if (!vert_shared[static_cast<std::size_t>(ed.v0)] ||
+            !vert_shared[static_cast<std::size_t>(ed.v1)]) {
+          continue;
+        }
         // Candidate ranks: those sharing both endpoints.
         auto it0 = lm.shared_verts.find(ed.v0);
         auto it1 = lm.shared_verts.find(ed.v1);

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "adapt/adaptor.hpp"
 #include "adapt/geometry_marking.hpp"
@@ -327,6 +329,73 @@ TEST(Coarsen, RefineCoarsenCycleIsStable) {
     EXPECT_EQ(m.num_active_elements(), 6);
     EXPECT_EQ(m.num_vertices(), 8);
   }
+}
+
+/// Checks every edge->element list against a brute-force recount: the alive
+/// leaves holding the edge, in increasing element id.
+void expect_lists_match_recount(const TetMesh& m, const std::string& step) {
+  std::vector<std::vector<Index>> expect(
+      static_cast<std::size_t>(m.num_edges()));
+  for (Index t = 0; t < m.num_elements(); ++t) {
+    const auto& el = m.element(t);
+    if (!el.alive || !el.is_leaf()) continue;
+    for (Index e : el.edges) expect[static_cast<std::size_t>(e)].push_back(t);
+  }
+  int mismatched = 0;
+  for (Index e = 0; e < m.num_edges(); ++e) {
+    if (!std::ranges::equal(m.edge_elements(e),
+                            expect[static_cast<std::size_t>(e)])) {
+      ++mismatched;
+    }
+  }
+  EXPECT_EQ(mismatched, 0) << "after " << step;
+}
+
+TEST(Coarsen, EdgeElementListsStayCanonicalThroughReinstatement) {
+  auto m = make_box_mesh(mesh::small_box(4));
+  MeshAdaptor ad(&m);
+  expect_lists_match_recount(m, "construction");
+
+  // Refine the x < 0.5 half; coarsen back its z < 0.5 quarter, reinstating
+  // parents next to leaves with larger ids; refine a slab across both.
+  std::vector<char> marks(static_cast<std::size_t>(m.num_edges()), 0);
+  for (Index e = 0; e < m.num_edges(); ++e) {
+    if (m.edge_elements(e).empty()) continue;
+    const auto& ed = m.edge(e);
+    if (m.vertex(ed.v0).pos.x < 0.5 || m.vertex(ed.v1).pos.x < 0.5) {
+      marks[static_cast<std::size_t>(e)] = 1;
+    }
+  }
+  ad.mark(marks);
+  ad.refine();
+  m.validate();
+  expect_lists_match_recount(m, "refine");
+
+  std::vector<char> cm(static_cast<std::size_t>(m.num_edges()), 0);
+  for (Index e = 0; e < m.num_edges(); ++e) {
+    const auto& ed = m.edge(e);
+    if (ed.is_leaf() && m.vertex(ed.v0).pos.z < 0.5 &&
+        m.vertex(ed.v1).pos.z < 0.5) {
+      cm[static_cast<std::size_t>(e)] = 1;
+    }
+  }
+  const CoarsenStats cs = ad.coarsen(cm);
+  ASSERT_GT(cs.parents_reinstated, 0);
+  m.validate();
+  expect_lists_match_recount(m, "coarsen");
+
+  marks.assign(static_cast<std::size_t>(m.num_edges()), 0);
+  for (Index e = 0; e < m.num_edges(); ++e) {
+    if (m.edge_elements(e).empty()) continue;
+    const auto& ed = m.edge(e);
+    const double y = 0.5 * (m.vertex(ed.v0).pos.y + m.vertex(ed.v1).pos.y);
+    if (y > 0.25 && y < 0.6) marks[static_cast<std::size_t>(e)] = 1;
+  }
+  ad.mark(marks);
+  ad.refine();
+  m.validate();
+  expect_lists_match_recount(m, "second refine");
+  EXPECT_NEAR(m.total_volume(), 1.0, 1e-9);
 }
 
 // --- error indicator ----------------------------------------------------------

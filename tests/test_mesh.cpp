@@ -94,6 +94,24 @@ TEST(TetMesh, BisectEdgeCreatesMidpointAndChildren) {
   EXPECT_EQ(m.num_vertices(), 5);
 }
 
+TEST(TetMeshDeathTest, EdgeElementsAbortWhileTableIsStale) {
+  auto m = single_tet();
+  const Index mid = m.bisect_edge(m.find_edge(0, 1));
+  m.add_child_element(0, {mid, 2, 3, 0});
+  m.rebuild_leaf_table();
+  // The sibling reuses only existing edges, so add_child_element alone is
+  // what makes the table stale.
+  const Index edges_before = m.num_edges();
+  m.add_child_element(0, {mid, 2, 3, 1});
+  ASSERT_EQ(m.num_edges(), edges_before);
+  EXPECT_DEATH((void)m.edge_elements(0), "stale");
+  EXPECT_DEATH((void)m.num_active_edges(), "stale");
+  m.rebuild_leaf_table();
+  m.validate();
+  EXPECT_EQ(m.num_active_elements(), 2);
+  EXPECT_EQ(m.edge_elements(m.find_edge(2, 3)).size(), 2u);
+}
+
 TEST(TetMesh, BisectBoundaryEdgePropagatesFlag) {
   auto m = single_tet();
   const Index e = m.find_edge(0, 1);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <sstream>
@@ -194,7 +195,7 @@ std::string diff_local(const LocalMesh& a, const LocalMesh& b) {
         x.boundary != y.boundary || x.alive != y.alive) {
       return "edge " + std::to_string(e);
     }
-    if (ma.edge_elements(e) != mb.edge_elements(e)) {
+    if (!std::ranges::equal(ma.edge_elements(e), mb.edge_elements(e))) {
       return "edge_elements " + std::to_string(e);
     }
   }
