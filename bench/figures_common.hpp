@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/balance.hpp"
 #include "partition/multilevel.hpp"
 #include "remap/mapping.hpp"
 #include "remap/volume.hpp"
@@ -46,15 +47,6 @@ struct CaseData {
   mesh::RootWeights current;
   std::vector<SweepPoint> points;  ///< one per kProcCounts entry
 };
-
-inline std::vector<Weight> rank_sums(const partition::PartVec& part,
-                                     const std::vector<Weight>& w, Rank P) {
-  std::vector<Weight> out(static_cast<std::size_t>(P), 0);
-  for (std::size_t v = 0; v < part.size(); ++v) {
-    out[static_cast<std::size_t>(part[v])] += w[v];
-  }
-  return out;
-}
 
 inline std::vector<Index> to_index(const std::vector<Weight>& w) {
   std::vector<Index> out(w.size());
@@ -118,13 +110,15 @@ inline CaseData evaluate_case(const Workload& base, const PaperCase& c) {
           new_res.part[v])];
     }
 
-    pt.work_after = to_index(rank_sums(old_res.part, growth_w, P));
-    pt.work_before = to_index(rank_sums(new_proc, growth_w, P));
-    pt.elems_after = to_index(rank_sums(old_res.part, out.current.wcomp, P));
-    pt.elems_before = to_index(rank_sums(new_proc, out.current.wcomp, P));
+    using core::proc_loads;
+    pt.work_after = to_index(proc_loads(old_res.part, growth_w, P));
+    pt.work_before = to_index(proc_loads(new_proc, growth_w, P));
+    pt.elems_after = to_index(proc_loads(old_res.part, out.current.wcomp, P));
+    pt.elems_before = to_index(proc_loads(new_proc, out.current.wcomp, P));
 
-    pt.wmax_unbalanced = vec_max(rank_sums(old_res.part, out.predicted.wcomp, P));
-    pt.wmax_balanced = vec_max(rank_sums(new_proc, out.predicted.wcomp, P));
+    pt.wmax_unbalanced =
+        vec_max(proc_loads(old_res.part, out.predicted.wcomp, P));
+    pt.wmax_balanced = vec_max(proc_loads(new_proc, out.predicted.wcomp, P));
     pt.wtotal = vec_sum(out.predicted.wcomp);
 
     out.points.push_back(std::move(pt));

@@ -176,15 +176,14 @@ DistCycleReport DistFramework::cycle() {
                            static_cast<double>(opt_.solver_steps_per_cycle) *
                            static_cast<double>(solve_max));
   }
-  // Per-rank solve seconds, summed from the solve phase's superstep records.
-  auto& rank_solve = tel.rank_solve_seconds;
+  // Per-rank solve seconds: the wall-sourced busy totals of the solve
+  // phase's supersteps.
+  const auto solve_path = obs::analyze_critical_path(
+      trace_, obs::PathSource::kWallClock, solve_step_lo);
   // plum-scale: host-only -- per-rank solve seconds for the calibration log
-  rank_solve.assign(static_cast<std::size_t>(P), 0.0);
-  for (std::size_t s = solve_step_lo; s < trace_.supersteps().size(); ++s) {
-    const auto& secs = trace_.supersteps()[s].rank_seconds;
-    for (std::size_t r = 0; r < secs.size() && r < rank_solve.size(); ++r) {
-      rank_solve[r] += secs[r];
-    }
+  tel.rank_solve_seconds.assign(static_cast<std::size_t>(P), 0.0);
+  for (std::size_t r = 0; r < solve_path.ranks.size(); ++r) {
+    tel.rank_solve_seconds[r] = solve_path.ranks[r].busy;
   }
 
   // --- 1b. distributed coarsening phase (Fig. 1) -------------------------------
@@ -333,9 +332,10 @@ DistCycleReport DistFramework::cycle() {
 
   // Per-cycle fixed-bound histograms (obs/critical_path.hpp): per-rank
   // step wall seconds + counter-sourced wait fractions for every superstep
-  // this cycle ran, plus the wall seconds of every phase that closed.
-  obs::record_step_histograms(metrics_, trace_, &hist_step_cursor_);
-  obs::record_phase_histograms(metrics_, trace_, &hist_phase_cursor_);
+  // this cycle ran, plus the wall seconds of every phase it opened.
+  obs::record_step_histograms(metrics_, trace_, cycle_first_step_);
+  std::size_t phase_cursor = tel.solve_phase;
+  obs::record_phase_histograms(metrics_, trace_, &phase_cursor);
 
   // --- plum-scope: coordinator RSS gauges + one live stream record ---------
   // Coordinator resident set (plum-mem wall gauges; the deterministic heap
@@ -346,52 +346,16 @@ DistCycleReport DistFramework::cycle() {
     metrics_.add_wall_sample_int("vm_hwm_bytes", rss.vm_hwm_bytes);
   }
   if (stream_ != nullptr) {
-    // Per-rank busy/wait over this cycle's supersteps, counter-sourced:
-    // busy is the rank's compute units, wait is its distance from the
-    // step's critical rank (the same decomposition as plum-path).
-    const auto& steps = trace_.supersteps();
-    // plum-scale: host-only -- per-rank busy fold for one stream record
-    std::vector<std::int64_t> busy(static_cast<std::size_t>(P), 0);
-    // plum-scale: host-only -- per-rank wait fold for one stream record
-    std::vector<std::int64_t> wait(static_cast<std::size_t>(P), 0);
-    for (std::size_t s = scope_step_cursor_; s < steps.size(); ++s) {
-      const auto& cs = steps[s].counters;
-      std::int64_t step_max = 0;
-      for (const auto& c : cs) step_max = std::max(step_max, c.compute_units);
-      for (std::size_t r = 0; r < cs.size() && r < busy.size(); ++r) {
-        busy[r] += cs[r].compute_units;
-        wait[r] += step_max - cs[r].compute_units;
-      }
-    }
-    obs::Json rec_json = obs::Json::object();
-    rec_json.set("schema", obs::Json::str("plum-scope/1"))
-        .set("name", obs::Json::str(opt_.scope_name))
-        .set("cycle", obs::Json::integer(this_cycle))
-        .set("supersteps", obs::Json::integer(static_cast<std::int64_t>(
-                               steps.size() - scope_step_cursor_)))
-        .set("elements", obs::Json::integer(rep.elements_after))
-        .set("imbalance", obs::Json::number(cycle_imbalance))
-        .set("wall_s", obs::Json::number(cycle_timer.seconds()));
-    obs::Json gate_json = obs::Json::object();
-    gate_json.set("evaluated", obs::Json::boolean(rep.evaluated_repartition))
-        .set("accepted", obs::Json::boolean(rep.accepted));
-    rec_json.set("gate", std::move(gate_json));
-    obs::Json ranks_json = obs::Json::array();
-    for (Rank r = 0; r < P; ++r) {
-      obs::Json rj = obs::Json::object();
-      rj.set("rank", obs::Json::integer(r))
-          .set("busy", obs::Json::integer(busy[static_cast<std::size_t>(r)]))
-          .set("wait", obs::Json::integer(wait[static_cast<std::size_t>(r)]))
-          .set("live_bytes",
-               obs::Json::integer(mem_.live_bytes(static_cast<int>(r))));
-      ranks_json.push(std::move(rj));
-    }
-    rec_json.set("ranks", std::move(ranks_json));
-    // Coordinator RSS for `plum top`'s live memory column (wall-class).
-    rec_json.set("rss", obs::rss_json());
-    stream_->append(rec_json);
+    const obs::ScopeCycle sc{.name = opt_.scope_name,
+                             .cycle = this_cycle,
+                             .elements = rep.elements_after,
+                             .imbalance = cycle_imbalance,
+                             .wall_s = cycle_timer.seconds(),
+                             .evaluated = rep.evaluated_repartition,
+                             .accepted = rep.accepted};
+    stream_->append(obs::scope_record(sc, trace_, cycle_first_step_, mem_));
   }
-  scope_step_cursor_ = trace_.supersteps().size();
+  cycle_first_step_ = trace_.supersteps().size();
   return rep;
 }
 

@@ -94,7 +94,7 @@ class DistFramework {
 
   /// plum-trace recorder. Attached to the engine as a SuperstepObserver at
   /// construction, so it holds one SuperstepRecord per engine superstep
-  /// (per-rank counters + wall times) in addition to the Fig. 1 phase
+  /// (one RankStep per rank) in addition to the Fig. 1 phase
   /// scopes opened by cycle().
   [[nodiscard]] obs::TraceRecorder& trace() { return trace_; }
   [[nodiscard]] const obs::TraceRecorder& trace() const { return trace_; }
@@ -162,13 +162,10 @@ class DistFramework {
   std::unique_ptr<pmesh::ParallelEulerSolver> solver_;
   std::vector<std::vector<solver::State>> states_;
   obs::MetricsRegistry metrics_;
-  // First trace_ superstep/phase not yet sampled into the per-cycle
-  // histograms (obs::record_step_histograms / record_phase_histograms).
-  std::size_t hist_step_cursor_ = 0;
-  std::size_t hist_phase_cursor_ = 0;
-  /// First trace_ superstep not yet folded into a plum-scope/1 stream
-  /// record (per-rank busy/wait are summed over [cursor, end) per cycle).
-  std::size_t scope_step_cursor_ = 0;
+  /// First trace_ superstep of the running cycle: where its histograms
+  /// and stream record start (the first cycle's window also holds the
+  /// constructor's supersteps).
+  std::size_t cycle_first_step_ = 0;
 };
 
 }  // namespace plum::core

@@ -1,9 +1,11 @@
 #pragma once
 // Graph coloring. Parallel MeTiS (paper §4.2) parallelizes coarsening and
 // uncoarsening with a vertex coloring: vertices of one color can be matched
-// or moved simultaneously without conflicts. We provide the same primitive;
-// the partitioner records the color-class counts per level, which the SP2
-// machine model (src/sim) uses to estimate parallel partitioning rounds.
+// or moved simultaneously without conflicts. This is that primitive. No
+// caller uses it yet: the multilevel partitioner matches and refines
+// serially, and the SP2 machine model (src/sim) prices partitioning rounds
+// without colour-class counts. It is kept for colour-class heavy-edge
+// matching.
 
 #include <vector>
 

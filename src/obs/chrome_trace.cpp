@@ -1,8 +1,9 @@
 #include "obs/chrome_trace.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
+
+#include "obs/critical_path.hpp"
 
 namespace plum::obs {
 
@@ -52,12 +53,14 @@ Json chrome_trace_json(const TraceRecorder& rec,
   }
   events.push(thread_name_event(0, "phases"));
 
-  int max_ranks = 0;
-  for (const auto& st : rec.supersteps()) {
-    max_ranks = std::max(max_ranks, static_cast<int>(st.counters.size()));
-  }
-  for (int r = 0; r < max_ranks; ++r) {
-    events.push(thread_name_event(r + 1, "rank " + std::to_string(r)));
+  // The wall-sourced critical path names each superstep's critical rank
+  // and length; its rank count is the widest superstep's.
+  const auto& steps = rec.supersteps();
+  const CriticalPathAnalysis wall =
+      analyze_critical_path(rec, PathSource::kWallClock);
+  for (std::size_t r = 0; r < wall.ranks.size(); ++r) {
+    events.push(thread_name_event(static_cast<int>(r) + 1,
+                                  "rank " + std::to_string(r)));
   }
 
   for (const auto& ph : rec.phases()) {
@@ -73,7 +76,9 @@ Json chrome_trace_json(const TraceRecorder& rec,
     events.push(std::move(ev));
   }
 
-  for (const auto& st : rec.supersteps()) {
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const SuperstepRecord& st = steps[i];
+    const StepPath& path = wall.steps[i];
     const std::string base =
         st.phase.empty() ? "step" : st.phase + " step";
     const std::string name = base + " " + std::to_string(st.step);
@@ -81,32 +86,25 @@ Json chrome_trace_json(const TraceRecorder& rec,
     // other rank gets an explicit "wait" slice from its own finish to the
     // critical rank's, so stragglers are visible as the only lanes without
     // idle gaps.
-    double critical_s = 0;
-    int critical_rank = 0;
-    for (std::size_t r = 0; r < st.rank_seconds.size(); ++r) {
-      if (st.rank_seconds[r] > critical_s) {
-        critical_s = st.rank_seconds[r];
-        critical_rank = static_cast<int>(r);
-      }
-    }
-    for (std::size_t r = 0; r < st.counters.size(); ++r) {
-      const double dur = r < st.rank_seconds.size() ? st.rank_seconds[r] : 0;
+    for (std::size_t r = 0; r < st.ranks.size(); ++r) {
+      const RankStep& rs = st.ranks[r];
       Json ev = complete_event(name, static_cast<int>(r) + 1, st.t_start_s,
-                               dur);
+                               rs.seconds);
       Json args = Json::object();
-      args.set("compute_units", Json::integer(st.counters[r].compute_units))
-          .set("msgs_sent", Json::integer(st.counters[r].msgs_sent))
-          .set("bytes_sent", Json::integer(st.counters[r].bytes_sent));
+      args.set("compute_units", Json::integer(rs.compute_units))
+          .set("msgs_sent", Json::integer(rs.msgs_sent))
+          .set("bytes_sent", Json::integer(rs.bytes_sent));
       ev.set("args", std::move(args));
       events.push(std::move(ev));
 
-      if (static_cast<int>(r) == critical_rank) continue;
+      if (static_cast<Rank>(r) == path.critical_rank) continue;
       Json wait = complete_event("wait", static_cast<int>(r) + 1,
-                                 st.t_start_s + dur, critical_s - dur);
+                                 st.t_start_s + rs.seconds,
+                                 path.critical - rs.seconds);
       Json wargs = Json::object();
       wargs.set("step", Json::integer(st.step))
-          .set("critical_rank", Json::integer(critical_rank))
-          .set("wait_s", Json::number(critical_s - dur));
+          .set("critical_rank", Json::integer(path.critical_rank))
+          .set("wait_s", Json::number(path.critical - rs.seconds));
       wait.set("args", std::move(wargs));
       events.push(std::move(wait));
     }
@@ -114,11 +112,11 @@ Json chrome_trace_json(const TraceRecorder& rec,
 
   // Counter track: per-superstep traffic (messages / bytes posted across
   // all ranks), rendered by the trace viewer as a stacked timeline.
-  for (const auto& st : rec.supersteps()) {
+  for (const auto& st : steps) {
     std::int64_t msgs = 0, bytes = 0;
-    for (const auto& c : st.counters) {
-      msgs += c.msgs_sent;
-      bytes += c.bytes_sent;
+    for (const RankStep& rs : st.ranks) {
+      msgs += rs.msgs_sent;
+      bytes += rs.bytes_sent;
     }
     Json args = Json::object();
     args.set("msgs", Json::integer(msgs)).set("bytes", Json::integer(bytes));

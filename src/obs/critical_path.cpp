@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
 namespace plum::obs {
 
@@ -15,15 +16,12 @@ std::vector<double> bounds_vec(const double* first, std::size_t n) {
   return std::vector<double>(first, first + n);
 }
 
-/// Per-rank values of one superstep under the chosen source. Wall seconds
-/// may be absent (no observer attached when recorded); missing ranks read
-/// as 0 so the decomposition stays total.
-double step_value(const SuperstepRecord& st, std::size_t r,
-                  PathSource source) {
-  if (source == PathSource::kCounters) {
-    return static_cast<double>(st.counters[r].compute_units);
-  }
-  return r < st.rank_seconds.size() ? st.rank_seconds[r] : 0.0;
+/// One rank's value in a superstep under the chosen source (unmeasured
+/// seconds read as 0, so the decomposition stays total).
+double step_value(const RankStep& rs, PathSource source) {
+  return source == PathSource::kCounters
+             ? static_cast<double>(rs.compute_units)
+             : rs.seconds;
 }
 
 }  // namespace
@@ -48,14 +46,19 @@ double CriticalPathAnalysis::wait_fraction() const {
 }
 
 CriticalPathAnalysis analyze_critical_path(const TraceRecorder& rec,
-                                           PathSource source) {
+                                           PathSource source,
+                                           std::size_t first,
+                                           std::size_t last) {
   CriticalPathAnalysis out;
   out.source = source;
 
+  const std::vector<SuperstepRecord>& all = rec.supersteps();
+  last = std::min(last, all.size());
+  first = std::min(first, last);
+  const auto window = std::span(all).subspan(first, last - first);
+
   std::size_t nranks = 0;
-  for (const auto& st : rec.supersteps()) {
-    nranks = std::max(nranks, st.counters.size());
-  }
+  for (const auto& st : window) nranks = std::max(nranks, st.ranks.size());
   out.ranks.resize(nranks);
 
   // Phase accumulators keyed by name (sorted), with a per-rank tally of
@@ -66,13 +69,13 @@ CriticalPathAnalysis analyze_critical_path(const TraceRecorder& rec,
   };
   std::map<std::string, PhaseAcc> phases;
 
-  for (const auto& st : rec.supersteps()) {
+  for (const auto& st : window) {
     StepPath sp;
     sp.step = st.step;
     sp.phase = st.phase;
-    const std::size_t p = st.counters.size();
+    const std::size_t p = st.ranks.size();
     for (std::size_t r = 0; r < p; ++r) {
-      const double own = step_value(st, r, source);
+      const double own = step_value(st.ranks[r], source);
       sp.busy += own;
       if (own > sp.critical) {
         sp.critical = own;
@@ -80,7 +83,7 @@ CriticalPathAnalysis analyze_critical_path(const TraceRecorder& rec,
       }
     }
     for (std::size_t r = 0; r < p; ++r) {
-      const double own = step_value(st, r, source);
+      const double own = step_value(st.ranks[r], source);
       const double wait = sp.critical - own;
       sp.wait += wait;
       out.ranks[r].busy += own;
@@ -175,7 +178,7 @@ Json CriticalPathAnalysis::to_json() const {
 }
 
 void record_step_histograms(MetricsRegistry& m, const TraceRecorder& rec,
-                            std::size_t* cursor) {
+                            std::size_t first) {
   m.define_histogram(kRankStepSecondsHist,
                      bounds_vec(kSecondsBounds, std::size(kSecondsBounds)),
                      /*wall_clock=*/true);
@@ -183,25 +186,18 @@ void record_step_histograms(MetricsRegistry& m, const TraceRecorder& rec,
                      bounds_vec(kFractionBounds, std::size(kFractionBounds)),
                      /*wall_clock=*/false);
   const auto& steps = rec.supersteps();
-  for (std::size_t i = *cursor; i < steps.size(); ++i) {
-    const SuperstepRecord& st = steps[i];
-    const std::size_t p = st.counters.size();
-    double crit_units = 0;
-    for (std::size_t r = 0; r < p; ++r) {
-      crit_units = std::max(
-          crit_units, static_cast<double>(st.counters[r].compute_units));
-    }
-    for (std::size_t r = 0; r < p; ++r) {
-      if (r < st.rank_seconds.size()) {
-        m.add_hist_sample(kRankStepSecondsHist, st.rank_seconds[r]);
-      }
-      const double own = static_cast<double>(st.counters[r].compute_units);
-      const double frac =
-          crit_units > 0 ? (crit_units - own) / crit_units : 0.0;
-      m.add_hist_sample(kRankWaitFractionHist, frac);
+  const CriticalPathAnalysis cp =
+      analyze_critical_path(rec, PathSource::kCounters, first);
+  for (std::size_t i = 0; i < cp.steps.size(); ++i) {
+    const SuperstepRecord& st = steps[first + i];
+    const double crit_units = cp.steps[i].critical;
+    for (const RankStep& rs : st.ranks) {
+      if (st.has_seconds) m.add_hist_sample(kRankStepSecondsHist, rs.seconds);
+      const double own = static_cast<double>(rs.compute_units);
+      m.add_hist_sample(kRankWaitFractionHist,
+                        crit_units > 0 ? (crit_units - own) / crit_units : 0.0);
     }
   }
-  *cursor = steps.size();
 }
 
 void record_phase_histograms(MetricsRegistry& m, const TraceRecorder& rec,

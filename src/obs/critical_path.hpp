@@ -4,7 +4,8 @@
 // The engine's barrier is where load imbalance turns into lost time: every
 // superstep finishes when its slowest ("critical") rank finishes, and every
 // other rank idles for the difference. analyze_critical_path() folds a
-// TraceRecorder's per-superstep records into that decomposition:
+// window of a TraceRecorder's per-superstep records into that
+// decomposition:
 //
 //   per superstep : critical rank, per-rank busy vs. wait
 //                   (wait = critical rank's value minus own),
@@ -13,11 +14,16 @@
 //   per phase     : straggler attribution — which Fig. 1 phase accumulated
 //                   the wait, and which rank was most often its straggler
 //
+// It is the one place that picks a superstep's critical rank: the trace's
+// "critical_path" sections, the per-cycle histograms below, the Chrome
+// trace's wait slices, the plum-scope/1 stream record's busy/wait and the
+// per-rank solve seconds fed to the calibrator all read its output.
+//
 // Two sources feed the same decomposition:
-//   PathSource::kWallClock — SuperstepRecord::rank_seconds, the measured
-//     per-rank step-function wall time. Honest but machine- and
+//   PathSource::kWallClock — RankStep::seconds, the measured per-rank
+//     step-function wall time. Honest but machine- and
 //     scheduling-dependent; serialized only by TraceRecorder::to_json().
-//   PathSource::kCounters  — StepCounters::compute_units, the deterministic
+//   PathSource::kCounters  — RankStep::compute_units, the deterministic
 //     work proxy every rank charges via Outbox::charge(). Byte-identical
 //     across Engine/ParallelEngine and thread counts, so it is folded into
 //     TraceRecorder::deterministic_json() and sits inside the cross-engine
@@ -25,11 +31,12 @@
 //
 // record_step_histograms()/record_phase_histograms() sample the same
 // decomposition into MetricsRegistry fixed-bound histograms once per
-// Framework/DistFramework cycle (per-rank step seconds are wall-clock and
-// stay out of the registry's deterministic view; wait fractions come from
-// the counter source and stay inside it).
+// DistFramework cycle (per-rank step seconds are wall-clock and stay out
+// of the registry's deterministic view; wait fractions come from the
+// counter source and stay inside it).
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -98,8 +105,12 @@ struct CriticalPathAnalysis {
   [[nodiscard]] Json to_json() const;
 };
 
+/// Folds the supersteps [first, last) of `rec`, clamped to the recorded
+/// ones; the defaults fold the whole trace. The result equals the analysis
+/// of a recorder that holds only those supersteps.
 [[nodiscard]] CriticalPathAnalysis analyze_critical_path(
-    const TraceRecorder& rec, PathSource source);
+    const TraceRecorder& rec, PathSource source, std::size_t first = 0,
+    std::size_t last = SIZE_MAX);
 
 // --- per-cycle histogram recording -----------------------------------------
 
@@ -109,14 +120,14 @@ inline constexpr const char* kRankStepSecondsHist = "rank_step_seconds";
 inline constexpr const char* kRankWaitFractionHist = "rank_wait_fraction";
 inline constexpr const char* kPhaseSecondsHist = "phase_wall_seconds";
 
-/// Samples every superstep at index >= *cursor into two histograms and
-/// advances *cursor: per-rank step wall seconds (kRankStepSecondsHist,
-/// wall-clock — excluded from MetricsRegistry::deterministic_json()) and
-/// per-rank wait fractions from the counter decomposition
+/// Samples every superstep at index >= `first` into two histograms:
+/// per-rank step wall seconds (kRankStepSecondsHist, wall-clock — excluded
+/// from MetricsRegistry::deterministic_json()) and per-rank wait fractions
+/// (critical - own) / critical from the counter decomposition
 /// (kRankWaitFractionHist, deterministic). Call once per cycle from the
 /// coordinating thread, never from inside a superstep lambda.
 void record_step_histograms(MetricsRegistry& m, const TraceRecorder& rec,
-                            std::size_t* cursor);
+                            std::size_t first);
 
 /// Samples the wall seconds of every *closed* phase at index >= *cursor
 /// into kPhaseSecondsHist (wall-clock) and advances *cursor past the

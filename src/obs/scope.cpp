@@ -8,6 +8,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "obs/critical_path.hpp"
+#include "obs/memory.hpp"
 #include "util/assert.hpp"
 
 namespace plum::obs {
@@ -230,6 +232,41 @@ Json postmortem_json(const PostmortemConfig& cfg, const char* expr,
   // Full (wall-included) ring view: a postmortem is forensic output, never
   // part of any deterministic comparison.
   if (cfg.recorder != nullptr) doc.set("scope", cfg.recorder->to_json());
+  return doc;
+}
+
+// --- stream records -----------------------------------------------------------
+
+Json scope_record(const ScopeCycle& c, const TraceRecorder& trace,
+                  std::size_t first, const MemoryTracker& mem) {
+  const CriticalPathAnalysis cp =
+      analyze_critical_path(trace, PathSource::kCounters, first);
+  Json doc = Json::object();
+  doc.set("schema", Json::str("plum-scope/1"))
+      .set("name", Json::str(c.name))
+      .set("cycle", Json::integer(c.cycle))
+      .set("supersteps",
+           Json::integer(static_cast<std::int64_t>(cp.steps.size())))
+      .set("elements", Json::integer(c.elements))
+      .set("imbalance", Json::number(c.imbalance))
+      .set("wall_s", Json::number(c.wall_s));
+  Json gate = Json::object();
+  gate.set("evaluated", Json::boolean(c.evaluated))
+      .set("accepted", Json::boolean(c.accepted));
+  doc.set("gate", std::move(gate));
+  Json ranks = Json::array();
+  for (Rank r = 0; r < mem.nranks(); ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    const RankPath path = ur < cp.ranks.size() ? cp.ranks[ur] : RankPath{};
+    Json rj = Json::object();
+    rj.set("rank", Json::integer(r))
+        .set("busy", Json::integer(static_cast<std::int64_t>(path.busy)))
+        .set("wait", Json::integer(static_cast<std::int64_t>(path.wait)))
+        .set("live_bytes", Json::integer(mem.live_bytes(r)));
+    ranks.push(std::move(rj));
+  }
+  doc.set("ranks", std::move(ranks));
+  doc.set("rss", rss_json());
   return doc;
 }
 

@@ -15,12 +15,12 @@
 //                       deterministic_json() exactly like the registry's
 //                       wall histograms, so the Engine/ParallelEngine
 //                       byte-identity contract survives the recorder.
-//   ScopeStreamWriter — an EINTR/short-write-safe NDJSON appender; the
-//                       frameworks emit one "plum-scope/1" record per
-//                       cycle through it (per-rank busy/wait, gate
-//                       verdict, imbalance, coordinator RSS), and
-//                       `plum top` tails the file to render a live
-//                       per-rank table of a run in progress.
+//   ScopeStreamWriter — an EINTR/short-write-safe NDJSON appender;
+//                       DistFramework emits one scope_record() per cycle
+//                       through it (per-rank busy/wait, gate verdict,
+//                       imbalance, coordinator RSS), and `plum top` tails
+//                       the file to render a live per-rank table of a run
+//                       in progress.
 //   install_postmortem — hooks plum::detail::assert_fail so a failed
 //                       PLUM_ASSERT flushes the last-N ring events per
 //                       rank to POSTMORTEM_<name>.json (schema
@@ -56,6 +56,8 @@ static_assert(std::is_trivially_copyable_v<ScopeEvent>,
               "ScopeEvent must stay a POD ring slot");
 
 class FlightRecorder;
+class MemoryTracker;
+class TraceRecorder;
 
 /// Rank-bound recording handle for superstep lambdas. Each handle writes
 /// only its own rank's ring, so capturing `handles` (one per rank, from
@@ -188,6 +190,26 @@ void uninstall_postmortem();
 /// description of the first violation (`plum check` / `plum report` and the
 /// unit tests share this validator).
 [[nodiscard]] std::string validate_postmortem(const Json& doc);
+
+/// What a plum-scope/1 record says about its cycle beyond the trace.
+struct ScopeCycle {
+  std::string name;       ///< run name (FrameworkOptions::scope_name)
+  int cycle = 0;          ///< cycle index
+  Index elements = 0;     ///< active elements after the cycle
+  double imbalance = 0;   ///< load imbalance the cycle ended with
+  double wall_s = 0;      ///< cycle wall time
+  bool evaluated = false; ///< the gate evaluated a repartition
+  bool accepted = false;  ///< and accepted it
+};
+
+/// The plum-scope/1 record of a cycle that ran the supersteps
+/// [first, end) of `trace`. Each rank's busy/wait are its counter-sourced
+/// critical-path totals over that window (analyze_critical_path): busy is
+/// its compute units, wait its distance from each step's critical rank.
+/// "live_bytes" is read from `mem`'s rank rows, "rss" is the coordinator's
+/// resident set at the call.
+[[nodiscard]] Json scope_record(const ScopeCycle& c, const TraceRecorder& trace,
+                                std::size_t first, const MemoryTracker& mem);
 
 /// Returns "" when `line` parses as one valid plum-scope/1 NDJSON record,
 /// else a description of the first violation.

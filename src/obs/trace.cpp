@@ -45,23 +45,30 @@ void TraceRecorder::on_superstep(int step,
                                  const std::vector<rt::StepCounters>& counters,
                                  const std::vector<double>& rank_seconds,
                                  double wall_seconds) {
+  PLUM_ASSERT_MSG(
+      rank_seconds.empty() || rank_seconds.size() == counters.size(),
+      "rank_seconds must be empty or one per rank");
   SuperstepRecord rec;
   rec.step = step;
   if (!open_.empty()) rec.phase = phases_[open_.back()].name;
-  rec.counters = counters;
-  rec.rank_seconds = rank_seconds;
+  rec.has_seconds = !rank_seconds.empty();
   rec.wall_s = wall_seconds;
   rec.t_start_s = epoch_.seconds() - wall_seconds;
-  supersteps_.push_back(std::move(rec));
 
-  // Charge the step's totals to every open phase (nested phases each see
-  // the supersteps that ran while they were open).
+  // One RankStep per rank, and the step's totals, which are charged to
+  // every open phase (nested phases each see the supersteps that ran while
+  // they were open).
+  rec.ranks.resize(counters.size());
   std::int64_t compute = 0, msgs = 0, bytes = 0;
-  for (const auto& c : counters) {
+  for (std::size_t r = 0; r < counters.size(); ++r) {
+    const rt::StepCounters& c = counters[r];
+    rec.ranks[r] = {c.compute_units, c.msgs_sent, c.bytes_sent,
+                    rec.has_seconds ? rank_seconds[r] : 0.0};
     compute += c.compute_units;
     msgs += c.msgs_sent;
     bytes += c.bytes_sent;
   }
+  supersteps_.push_back(std::move(rec));
   for (const std::size_t idx : open_) {
     PhaseRecord& ph = phases_[idx];
     ph.supersteps += 1;
@@ -161,13 +168,13 @@ Json TraceRecorder::to_json_impl(bool include_wall) const {
     Json s = Json::object();
     s.set("step", Json::integer(st.step)).set("phase", Json::str(st.phase));
     Json ranks = Json::array();
-    for (std::size_t r = 0; r < st.counters.size(); ++r) {
+    for (const RankStep& rs : st.ranks) {
       Json c = Json::object();
-      c.set("compute_units", Json::integer(st.counters[r].compute_units))
-          .set("msgs_sent", Json::integer(st.counters[r].msgs_sent))
-          .set("bytes_sent", Json::integer(st.counters[r].bytes_sent));
-      if (include_wall && r < st.rank_seconds.size()) {
-        c.set("seconds", Json::number(st.rank_seconds[r]));
+      c.set("compute_units", Json::integer(rs.compute_units))
+          .set("msgs_sent", Json::integer(rs.msgs_sent))
+          .set("bytes_sent", Json::integer(rs.bytes_sent));
+      if (include_wall && st.has_seconds) {
+        c.set("seconds", Json::number(rs.seconds));
       }
       ranks.push(std::move(c));
     }

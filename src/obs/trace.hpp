@@ -2,14 +2,19 @@
 // plum-trace: phase/superstep observability for PLUM runs.
 //
 // A TraceRecorder attaches to an engine as a rt::SuperstepObserver and
-// collects one SuperstepRecord per superstep (per-rank StepCounters and
-// wall times, merged in rank order at the barrier — the engine calls the
-// observer from the coordinating thread only, so recording needs no
-// locking and stays rank-safe under the parallel engine). On top of that,
-// the Fig. 1 phases (solve, mark, repartition, reassign, gate, remap,
-// subdivide) open named PhaseScopes; each phase captures its wall seconds,
-// the modeled SP2 seconds from sim::CostModel, and the superstep/compute/
-// message deltas that occurred while it was open.
+// keeps one SuperstepRecord per superstep: one POD RankStep per rank
+// (compute units, msgs, bytes, step-fn wall seconds), taken at the
+// barrier. The engine calls the observer from the coordinating thread
+// only, so recording needs no locking and stays rank-safe under the
+// parallel engine. The comm matrix and per-tag-class totals are folded
+// from the engine's counters at the same barrier. Every per-superstep view
+// (critical path, per-cycle histograms, Chrome wait slices, plum-scope/1
+// busy/wait) reads the records through analyze_critical_path()
+// (obs/critical_path.hpp). On top of that, the Fig. 1 phases (solve, mark,
+// repartition, reassign, gate, remap, subdivide) open named PhaseScopes;
+// each phase captures its wall seconds, the modeled SP2 seconds from
+// sim::CostModel, and the superstep/compute/message deltas that occurred
+// while it was open.
 //
 // Two serializations:
 //   to_json()             — everything, including wall-clock fields and the
@@ -27,6 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -79,12 +85,23 @@ struct PhaseRecord {
   bool closed = false;
 };
 
+/// One rank's share of one superstep: the counters every view reads and
+/// the rank's step-function wall time.
+struct RankStep {
+  std::int64_t compute_units = 0;
+  std::int64_t msgs_sent = 0;
+  std::int64_t bytes_sent = 0;
+  double seconds = 0;  ///< step-fn wall time; 0 when none was measured
+};
+static_assert(std::is_trivially_copyable_v<RankStep>,
+              "RankStep must stay a POD record");
+
 /// One engine superstep as seen at the barrier.
 struct SuperstepRecord {
   int step = 0;            ///< Outbox::step() index within the run
   std::string phase;       ///< innermost open phase ("" outside any phase)
-  std::vector<rt::StepCounters> counters;  ///< per rank, rank order
-  std::vector<double> rank_seconds;        ///< per rank step-fn wall time
+  std::vector<RankStep> ranks;  ///< rank order
+  bool has_seconds = false;     ///< the observer was given per-rank seconds
   double t_start_s = 0;    ///< wall offset from the recorder's epoch
   double wall_s = 0;       ///< barrier-to-barrier superstep time
 };

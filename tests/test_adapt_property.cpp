@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "adapt/adaptor.hpp"
@@ -18,6 +21,21 @@ struct SweepParams {
   double mark_fraction;
   int rounds;
 };
+
+// Printed and named from the fields, never from the object's bytes: the
+// struct has padding, and gtest's byte dump of it would put indeterminate
+// bytes into the registered test names.
+void PrintTo(const SweepParams& p, std::ostream* os) {
+  *os << "{seed " << p.seed << ", mark_fraction " << p.mark_fraction
+      << ", rounds " << p.rounds << "}";
+}
+
+std::string sweep_name(const ::testing::TestParamInfo<SweepParams>& info) {
+  const SweepParams& p = info.param;
+  return "seed" + std::to_string(p.seed) + "_permille" +
+         std::to_string(std::lround(p.mark_fraction * 1000)) + "_rounds" +
+         std::to_string(p.rounds);
+}
 
 class RandomAdaptionSweep : public ::testing::TestWithParam<SweepParams> {};
 
@@ -69,7 +87,8 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, RandomAdaptionSweep,
     ::testing::Values(SweepParams{1, 0.02, 3}, SweepParams{2, 0.10, 3},
                       SweepParams{3, 0.30, 2}, SweepParams{4, 0.60, 2},
-                      SweepParams{5, 1.00, 2}, SweepParams{6, 0.005, 4}));
+                      SweepParams{5, 1.00, 2}, SweepParams{6, 0.005, 4}),
+    sweep_name);
 
 class RandomCoarsenSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -1,4 +1,4 @@
-// Unit tests for src/graph: CSR construction, coloring, connectivity, dual.
+// Unit tests for src/graph: CSR construction, coloring, dual.
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <set>
 
 #include "graph/coloring.hpp"
-#include "graph/connect.hpp"
 #include "graph/csr.hpp"
 #include "graph/dual.hpp"
 
@@ -99,44 +98,6 @@ TEST(Coloring, LubyDeterministicForSeed) {
   const auto a = luby_coloring(g, 7);
   const auto b = luby_coloring(g, 7);
   EXPECT_EQ(a.color, b.color);
-}
-
-TEST(Connect, SingleComponent) {
-  const auto g = path_graph(5);
-  const auto c = connected_components(g);
-  EXPECT_EQ(c.num_components, 1);
-}
-
-TEST(Connect, TwoComponents) {
-  std::vector<std::pair<Index, Index>> edges = {{0, 1}, {2, 3}};
-  const auto g = Csr::from_edges(4, edges);
-  const auto c = connected_components(g);
-  EXPECT_EQ(c.num_components, 2);
-  EXPECT_EQ(c.comp[0], c.comp[1]);
-  EXPECT_NE(c.comp[0], c.comp[2]);
-}
-
-TEST(Connect, BfsDistancesOnPath) {
-  const auto g = path_graph(5);
-  std::vector<Index> dist;
-  const auto order = bfs_order(g, 0, &dist);
-  EXPECT_EQ(order.size(), 5u);
-  EXPECT_EQ(dist[4], 4);
-}
-
-TEST(Connect, BfsRespectsMask) {
-  const auto g = path_graph(5);
-  std::vector<char> mask = {1, 1, 0, 1, 1};  // vertex 2 blocked
-  std::vector<Index> dist;
-  const auto order = bfs_order(g, 0, &dist, mask);
-  EXPECT_EQ(order.size(), 2u);  // only 0,1 reachable
-  EXPECT_EQ(dist[3], kInvalidIndex);
-}
-
-TEST(Connect, PseudoPeripheralOnPathIsEndpoint) {
-  const auto g = path_graph(9);
-  const Index v = pseudo_peripheral(g, 4);
-  EXPECT_TRUE(v == 0 || v == 8);
 }
 
 TEST(Dual, TwoTetsSharingFace) {

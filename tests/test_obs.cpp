@@ -156,9 +156,10 @@ TEST(TraceRecorder, PhaseAndSuperstepAccounting) {
   const auto& st = rec.supersteps()[0];
   EXPECT_EQ(st.step, 0);
   EXPECT_EQ(st.phase, "solve");  // innermost open phase
-  ASSERT_EQ(st.counters.size(), 3u);
-  EXPECT_EQ(st.counters[2].compute_units, 3);
-  ASSERT_EQ(st.rank_seconds.size(), 3u);
+  ASSERT_EQ(st.ranks.size(), 3u);
+  EXPECT_EQ(st.ranks[2].compute_units, 3);
+  EXPECT_EQ(st.ranks[2].msgs_sent, 1);
+  EXPECT_TRUE(st.has_seconds);
 
   rec.clear();
   EXPECT_TRUE(rec.phases().empty());
@@ -281,6 +282,54 @@ TEST(CriticalPath, WallSourceUsesMeasuredRankSeconds) {
   }
   const std::string json = cp.to_json().dump();
   EXPECT_NE(json.find("\"source\":\"wall\""), std::string::npos);
+}
+
+TEST(CriticalPath, WindowEqualsRecorderHoldingOnlyThoseSupersteps) {
+  // Eight synthetic supersteps over three phases with shifting stragglers;
+  // `part` sees only supersteps [2, 6), under the same phases.
+  obs::TraceRecorder whole;
+  obs::TraceRecorder part;
+  constexpr std::size_t kFirst = 2, kLast = 6;
+  const char* phase_of[] = {"solve", "solve", "solve", "mark",
+                            "mark",  "remap", "remap", "remap"};
+  for (std::size_t s = 0; s < 8; ++s) {
+    std::vector<rt::StepCounters> counters(4);
+    std::vector<double> seconds(4);
+    for (std::size_t r = 0; r < 4; ++r) {
+      counters[r].compute_units =
+          static_cast<std::int64_t>((3 * r + 5 * s) % 7);
+      counters[r].msgs_sent = static_cast<std::int64_t>(r);
+      seconds[r] = 1e-3 * static_cast<double>((r + s) % 4);
+    }
+    const int step = static_cast<int>(s);
+    const std::size_t a = whole.begin_phase(phase_of[s]);
+    whole.on_superstep(step, counters, seconds, 0.01);
+    whole.end_phase(a);
+    if (s >= kFirst && s < kLast) {
+      const std::size_t b = part.begin_phase(phase_of[s]);
+      part.on_superstep(step, counters, seconds, 0.01);
+      part.end_phase(b);
+    }
+  }
+  for (const auto source :
+       {obs::PathSource::kCounters, obs::PathSource::kWallClock}) {
+    const auto window =
+        obs::analyze_critical_path(whole, source, kFirst, kLast);
+    EXPECT_EQ(window.steps.size(), kLast - kFirst);
+    EXPECT_EQ(window.to_json().dump(),
+              obs::analyze_critical_path(part, source).to_json().dump())
+        << obs::path_source_name(source);
+  }
+  // The default window is the whole trace; an out-of-range one is empty.
+  EXPECT_EQ(obs::analyze_critical_path(whole, obs::PathSource::kCounters)
+                .to_json()
+                .dump(),
+            obs::analyze_critical_path(whole, obs::PathSource::kCounters, 0, 8)
+                .to_json()
+                .dump());
+  EXPECT_TRUE(
+      obs::analyze_critical_path(whole, obs::PathSource::kCounters, 9, 12)
+          .steps.empty());
 }
 
 TEST(CriticalPath, EmbeddedInBothTraceSerializations) {
